@@ -1,67 +1,25 @@
-// Shared helpers for the per-figure benchmark binaries. Every binary prints
-// the paper's reference values next to the reproduced ones so the comparison
-// is one `diff`-shaped read — and, through bench::Reporter, emits the same
-// numbers as a machine-readable JSON report (`--json=<path>`) that
+// bench::Reporter, shared by the standalone benchmark entry points
+// (`memsentry_cli run <workload>` and bench_substrate): it parses the common
+// flags, stages crash bundles, and writes the run's metric stream as a
+// machine-readable JSON report (`--json=<path>`), the format
 // tools/bench_runner merges into BENCH_RESULTS.json and gates against
 // bench/baselines/.
 #ifndef MEMSENTRY_BENCH_BENCH_UTIL_H_
 #define MEMSENTRY_BENCH_BENCH_UTIL_H_
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <filesystem>
 #include <string>
-#include <vector>
 
 #include "src/base/crash_handler.h"
 #include "src/base/fastpath.h"
 #include "src/base/json.h"
 #include "src/eval/figures.h"
-#include "src/eval/regression_gate.h"
 #include "src/eval/report_builder.h"
-#include "src/workloads/spec_profiles.h"
 
 namespace memsentry::bench {
-
-inline void PrintHeader(const std::string& title) {
-  std::printf("\n================================================================\n");
-  std::printf("%s\n", title.c_str());
-  std::printf("================================================================\n");
-}
-
-// Prints one figure as rows of benchmarks x configuration columns.
-inline void PrintFigure(const std::vector<eval::FigureSeries>& series,
-                        const std::vector<double>& paper_geomeans) {
-  std::printf("%-16s", "benchmark");
-  for (const auto& s : series) {
-    std::printf("%10s", s.config.c_str());
-  }
-  std::printf("\n");
-  const auto profiles = workloads::SpecCpu2006();
-  for (size_t b = 0; b < profiles.size(); ++b) {
-    std::printf("%-16s", profiles[b].name.c_str());
-    for (const auto& s : series) {
-      std::printf("%10.2f", s.normalized[b]);
-    }
-    std::printf("\n");
-  }
-  std::printf("%-16s", "geomean");
-  for (const auto& s : series) {
-    std::printf("%10.3f", s.geomean);
-  }
-  std::printf("\n%-16s", "paper geomean");
-  for (size_t i = 0; i < series.size(); ++i) {
-    if (i < paper_geomeans.size()) {
-      std::printf("%10.3f", paper_geomeans[i]);
-    } else {
-      std::printf("%10s", "-");
-    }
-  }
-  std::printf("\n(normalized runtime; 1.00 = uninstrumented baseline)\n");
-}
 
 inline eval::ExperimentOptions DefaultOptions() {
   eval::ExperimentOptions options;
@@ -69,21 +27,23 @@ inline eval::ExperimentOptions DefaultOptions() {
   return options;
 }
 
-// The tolerance constants live in src/eval/report_builder.h so the campaign
-// engine's workloads share them; these aliases keep the bench:: spellings.
-inline constexpr double kGeomeanTol = eval::kGeomeanTol;
-inline constexpr double kPerBenchmarkTol = eval::kPerBenchmarkTol;
-inline constexpr double kCyclesTol = eval::kCyclesTol;
-inline constexpr double kMicroLatencyTol = eval::kMicroLatencyTol;
-inline constexpr double kHostThroughputTol = eval::kHostThroughputTol;
-
-// Collects a benchmark binary's results as named metrics (through an
-// eval::ReportBuilder) and writes the machine-readable report when the
-// binary was invoked with --json=<path>. Metric names are slash-paths,
-// unique across the whole suite because each binary prefixes its own
+// Collects one standalone run's results as named metrics (through an
+// eval::ReportBuilder) and writes the machine-readable report when the run
+// was invoked with --json=<path>. Metric names are slash-paths, unique
+// across the whole suite because each workload prefixes its own
 // figure/table (e.g. "fig3/geomean/MPX-w").
 class Reporter {
  public:
+  // True for the flags the constructor consumes.
+  static bool OwnsFlag(const std::string& arg) {
+    for (const char* flag : {"--json=", "--instructions=", "--jobs=", "--bundle-root="}) {
+      if (arg.rfind(flag, 0) == 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   Reporter(std::string binary, int argc, char** argv)
       : binary_(std::move(binary)), start_(std::chrono::steady_clock::now()) {
     std::string bundle_root = "crash_bundles";
@@ -95,17 +55,9 @@ class Reporter {
         instructions_ = std::strtoull(arg + 15, nullptr, 10);
       } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
         jobs_ = static_cast<int>(std::strtol(arg + 7, nullptr, 10));
-      } else if (std::strncmp(arg, "--checkpoint-dir=", 17) == 0) {
-        checkpoint_dir_ = arg + 17;
-      } else if (std::strncmp(arg, "--checkpoint-interval=", 22) == 0) {
-        checkpoint_interval_ = std::strtoull(arg + 22, nullptr, 10);
       } else if (std::strncmp(arg, "--bundle-root=", 14) == 0) {
         bundle_root = arg + 14;
       }
-    }
-    if (!checkpoint_dir_.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(checkpoint_dir_, ec);
     }
     // Any crash from here on produces a replayable bundle tagged with this
     // binary's run configuration. Retention first: bundles from earlier runs
@@ -137,62 +89,26 @@ class Reporter {
   }
 
   // DefaultOptions() with any --instructions= / --jobs= override applied.
-  // Every binary routes its workload budget through this so bench_runner
-  // --quick can shrink the whole suite uniformly and --jobs can fan the
-  // sweeps out (results are bit-identical for every jobs value).
+  // Every standalone run routes its workload budget through this, and
+  // --jobs fans the sweeps out (results are bit-identical for every jobs
+  // value).
   eval::ExperimentOptions Options() const {
     eval::ExperimentOptions options = DefaultOptions();
     if (instructions_ > 0) {
       options.target_instructions = instructions_;
     }
     options.jobs = jobs_;
-    options.checkpoint_dir = checkpoint_dir_;
-    options.checkpoint_interval = checkpoint_interval_;
     return options;
   }
 
   uint64_t TargetInstructions() const { return Options().target_instructions; }
-  int Jobs() const { return jobs_; }
-  bool enabled() const { return !json_path_.empty(); }
 
   // The underlying metric collector, shared with the campaign engine's
   // workload assembly path so standalone and in-process runs emit the exact
   // same metric stream.
   eval::ReportBuilder& builder() { return builder_; }
 
-  void Add(const std::string& name, double value, eval::MetricKind kind, double tol,
-           double paper = NAN, const std::string& note = "") {
-    builder_.Add(name, value, kind, tol, paper, note);
-  }
-
-  void AddFidelity(const std::string& name, double value, double tol, double paper = NAN,
-                   const std::string& note = "") {
-    builder_.AddFidelity(name, value, tol, paper, note);
-  }
-
-  void AddPerf(const std::string& name, double value, double tol = kCyclesTol) {
-    builder_.AddPerf(name, value, tol);
-  }
-
   void AddInfo(const std::string& name, double value) { builder_.AddInfo(name, value); }
-
-  void AddHostPerf(const std::string& name, double value, double tol) {
-    builder_.AddHostPerf(name, value, tol);
-  }
-
-  // Accumulates simulated (retired) instructions executed by this binary.
-  // Finish() turns the total into a `<binary>/sim_instr_per_second`
-  // host-perf metric — the suite's wall-clock throughput gauge, checked
-  // against the baseline with a generous tolerance (hosts vary) but
-  // warn-only so a slow machine never hard-fails the gate.
-  void AddSimulatedInstructions(double instructions) {
-    builder_.AddSimulatedInstructions(instructions);
-  }
-
-  void AddFigure(const std::string& prefix, const std::vector<eval::FigureSeries>& series,
-                 const std::vector<double>& paper_geomeans) {
-    builder_.AddFigure(prefix, series, paper_geomeans);
-  }
 
   // Writes the report if --json= was given. Returns the binary's exit code
   // (nonzero when the report could not be written, so CI notices).
@@ -204,8 +120,8 @@ class Reporter {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
     AddInfo(binary_ + "/wall_seconds", wall);
     if (builder_.sim_instructions() > 0 && wall > 0) {
-      AddHostPerf(binary_ + "/sim_instr_per_second", builder_.sim_instructions() / wall,
-                  kHostThroughputTol);
+      builder_.AddHostPerf(binary_ + "/sim_instr_per_second",
+                           builder_.sim_instructions() / wall, eval::kHostThroughputTol);
     }
     json::Value doc = json::Value::Object();
     doc.Set("schema", 1);
@@ -225,8 +141,6 @@ class Reporter {
  private:
   std::string binary_;
   std::string json_path_;
-  std::string checkpoint_dir_;
-  uint64_t checkpoint_interval_ = 0;
   uint64_t instructions_ = 0;
   int jobs_ = 0;  // 0 = hardware_concurrency (see eval::ExperimentOptions)
   std::chrono::steady_clock::time_point start_;

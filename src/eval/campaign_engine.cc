@@ -34,7 +34,8 @@ int RunWorkloadStandalone(const Workload& workload, const WorkloadOptions& optio
   return workload.assemble(options, payloads, report);
 }
 
-void ParseWorkloadArgs(int argc, char** argv, WorkloadOptions& options) {
+std::vector<std::string> ParseWorkloadArgs(int argc, char** argv, WorkloadOptions& options) {
+  std::vector<std::string> unrecognised;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     auto value = [arg](const char* flag) -> const char* {
@@ -57,8 +58,11 @@ void ParseWorkloadArgs(int argc, char** argv, WorkloadOptions& options) {
       options.extra["allow_escapes"] = "1";
     } else if (const char* v = value("--force-crash=")) {
       options.extra["force_crash"] = v;
+    } else {
+      unrecognised.emplace_back(arg);
     }
   }
+  return unrecognised;
 }
 
 const char* JobStateName(JobState state) {

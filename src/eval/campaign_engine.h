@@ -1,9 +1,9 @@
 // CampaignEngine — the persistent in-process suite engine (DESIGN.md §11).
 //
-// The bench binaries' bodies are extracted into registered Workloads: each
-// enumerates its experiment cells (one (config, profile) pair, one fault
-// cell, one tenant sweep point, ...) and assembles the cell payloads into
-// the exact metric stream its standalone binary emits. The engine schedules
+// Every suite benchmark is a registered Workload: each enumerates its
+// experiment cells (one (config, profile) pair, one fault cell, one tenant
+// sweep point, ...) and assembles the cell payloads into the exact metric
+// stream a standalone `memsentry_cli run <workload>` emits. The engine schedules
 // every submitted workload's cells onto one warm pool of workers with work
 // stealing at cell granularity: each worker owns a deque fed round-robin at
 // submit time, pops its own front, and steals from the back of a sibling's
@@ -21,9 +21,8 @@
 // Durability: the engine itself is storage-agnostic. EngineOptions::restore
 // lets a caller (tools/bench_runner's suite journal) mark cells as already
 // done with a recorded payload, and on_cell_done streams each completed
-// cell's payload back out, so a kill -9 mid-suite resumes at cell — not
-// binary — granularity. Mid-cell durability composes through the existing
-// checkpoint fields of ExperimentOptions (PR 5 snapshots).
+// cell's payload back out, so a kill -9 mid-suite resumes at cell
+// granularity; the longest cell costs well under a second to redo.
 #ifndef MEMSENTRY_SRC_EVAL_CAMPAIGN_ENGINE_H_
 #define MEMSENTRY_SRC_EVAL_CAMPAIGN_ENGINE_H_
 
@@ -72,14 +71,14 @@ struct WorkloadCell {
 };
 
 struct Workload {
-  std::string name;  // the bench binary's name, e.g. "fig3_address"
+  std::string name;  // the suite entry's name, e.g. "fig3_address"
   // Standalone runs stay serial (cells stage process-global crash contexts
   // or must interleave prints with execution order).
   bool serial_standalone = false;
   std::function<std::vector<WorkloadCell>(const WorkloadOptions&)> cells;
   // Serial pass over the payloads in cell-enumeration order: prints the
   // human tables (when options.print) and emits the metric stream. Returns
-  // the workload's exit status (nonzero = the binary would have failed).
+  // the workload's exit status (nonzero = the run failed).
   std::function<int(const WorkloadOptions&, const std::vector<json::Value>&, ReportBuilder&)>
       assemble;
 };
@@ -94,17 +93,17 @@ class WorkloadRegistry {
   std::vector<Workload> workloads_;
 };
 
-// Runs one workload the way its standalone binary does: cells fanned out
+// Runs one workload standalone (`memsentry_cli run`): cells fanned out
 // over ParallelMap (serial when the workload demands it), then assembly.
 int RunWorkloadStandalone(const Workload& workload, const WorkloadOptions& options,
                           ReportBuilder& report);
 
-// Parses the workload-specific argv flags the bench binaries accept
+// Parses the workload-specific argv flags `memsentry_cli run` accepts
 // (--quick, --seed=, --campaigns=, --policy=off, --skip-audit,
 // --step-budget=, --allow-escapes, --force-crash=) into options.quick /
-// options.extra. Unknown arguments are ignored, matching the binaries'
-// historical leniency.
-void ParseWorkloadArgs(int argc, char** argv, WorkloadOptions& options);
+// options.extra. Returns the arguments it did not recognise, for the caller
+// to claim (--json=, --instructions=, --jobs=, --bundle-root=) or reject.
+std::vector<std::string> ParseWorkloadArgs(int argc, char** argv, WorkloadOptions& options);
 
 enum class JobState { kQueued, kRunning, kDone, kFailed, kCancelled };
 const char* JobStateName(JobState state);

@@ -326,11 +326,21 @@ void ShardCoordinator::RequeueOrInline(CellRef cell) {
   if (cell.attempts >= options_.max_attempts) {
     // Attempt cap: a cell the fleet keeps failing runs in-process — the
     // livelock guard for cells genuinely slower than the lease.
-    RunCellInline(cell);
+    FailOrRunInline(cell);
     return;
   }
   ++stats_.cells_redispatched;
   queue_.push_back(cell);
+}
+
+void ShardCoordinator::FailOrRunInline(const CellRef& cell) {
+  // A cell that killed its worker on every attempt is not slow but lethal
+  // (a crash inside the cell); inlining it would kill the coordinator too.
+  if (cell.deaths > 0 && cell.deaths == cell.attempts) {
+    FailCell(cell, "killed its worker on all " + std::to_string(cell.attempts) + " attempts");
+  } else {
+    RunCellInline(cell);
+  }
 }
 
 void ShardCoordinator::RunCellInline(const CellRef& cell) {
@@ -338,24 +348,24 @@ void ShardCoordinator::RunCellInline(const CellRef& cell) {
   ++stats_.cells_inlined;
   const double start = Now();
   json::Value payload;
-  bool failed = false;
   try {
     payload = job.cells[cell.cell].run(job.options);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "coordinator: %s/%s threw inline: %s\n", job.workload->name.c_str(),
-                 job.cells[cell.cell].name.c_str(), e.what());
-    failed = true;
+    FailCell(cell, std::string("threw inline: ") + e.what());
+    return;
   } catch (...) {
-    std::fprintf(stderr, "coordinator: %s/%s threw inline\n", job.workload->name.c_str(),
-                 job.cells[cell.cell].name.c_str());
-    failed = true;
-  }
-  if (failed) {
-    job.cell_failed = true;
-    --job.remaining;
+    FailCell(cell, "threw inline");
     return;
   }
   CompleteCell(cell, std::move(payload), Now() - start);
+}
+
+void ShardCoordinator::FailCell(const CellRef& cell, const std::string& why) {
+  JobRec& job = *jobs_[cell.job];
+  std::fprintf(stderr, "coordinator: %s/%s failed: %s\n", job.workload->name.c_str(),
+               job.cells[cell.cell].name.c_str(), why.c_str());
+  job.cell_failed = true;
+  --job.remaining;
 }
 
 void ShardCoordinator::CompleteCell(const CellRef& cell, json::Value payload, double seconds) {
@@ -389,16 +399,12 @@ void ShardCoordinator::HandleFrame(WorkerSlot& worker, const std::string& frame)
     return;
   }
   const CellRef cell = worker.inflight;
-  JobRec& job = *jobs_[cell.job];
   if (!reply->BoolOr("ok", false)) {
     // A typed error from a healthy worker. Cells are deterministic, so a
     // cell_failed (or unknown_*) verdict will repeat anywhere — mirror the
     // engine: mark the job failed, don't burn retries.
-    std::fprintf(stderr, "coordinator: %s/%s failed remotely: %s (%s)\n",
-                 job.workload->name.c_str(), job.cells[cell.cell].name.c_str(),
-                 reply->StringOr("error", "?").c_str(), reply->StringOr("code", "?").c_str());
-    job.cell_failed = true;
-    --job.remaining;
+    FailCell(cell, "remotely: " + reply->StringOr("error", "?") + " (" +
+                       reply->StringOr("code", "?") + ")");
     worker.state = WorkerSlot::State::kIdle;
     worker.consecutive_failures = 0;
     return;
@@ -450,6 +456,9 @@ void ShardCoordinator::PollWorkers(double timeout_seconds) {
     if (n <= 0) {
       // EOF or a hard socket error: the worker died (chaos kill, crash) or
       // dropped us; the respawn ladder takes it from here.
+      if (worker.state == WorkerSlot::State::kBusy) {
+        ++worker.inflight.deaths;
+      }
       WorkerFailed(worker, "connection lost", /*respawn=*/true);
       continue;
     }
@@ -487,7 +496,7 @@ void ShardCoordinator::RunDegraded() {
   std::vector<CellRef> remaining;
   remaining.swap(queue_);
   for (const CellRef& cell : remaining) {
-    RunCellInline(cell);
+    FailOrRunInline(cell);
   }
 }
 

@@ -21,9 +21,12 @@
 //   4. quarantine — K consecutive failures retire the worker and
 //      redistribute its queue;
 //   5. per-cell attempt cap — a cell that keeps failing remotely runs
-//      inline in the coordinator process (cells_inlined);
+//      inline in the coordinator process (cells_inlined), unless every
+//      attempt ended with its worker dying: such a cell would take the
+//      coordinator down too, so it ends as a typed cell failure instead;
 //   6. degradation — when every worker is quarantined the remaining cells
-//      run inline serially; the suite always completes, flagged `degraded`.
+//      run inline serially (lethal cells again end as typed failures); the
+//      suite always completes, flagged `degraded`.
 #ifndef MEMSENTRY_SRC_EVAL_COORDINATOR_H_
 #define MEMSENTRY_SRC_EVAL_COORDINATOR_H_
 
@@ -47,7 +50,7 @@ struct CoordinatorOptions {
   int workers = 3;              // clamped to >= 1
   double lease_seconds = 20.0;  // per-cell reply deadline once dispatched
   int quarantine_after = 3;     // consecutive failures before a worker is retired
-  int max_attempts = 4;         // remote tries per cell before it runs inline
+  int max_attempts = 4;         // remote tries per cell before it runs inline (or fails)
   int connect_attempts = 8;     // ping retries per spawn (backoff 50ms doubling)
   ServeChaos chaos;             // forwarded to workers via serve --chaos
   bool quiet = false;
@@ -113,6 +116,7 @@ class ShardCoordinator {
     size_t job = 0;
     size_t cell = 0;
     int attempts = 0;  // completed dispatch attempts
+    int deaths = 0;    // attempts that ended with the worker process dying
   };
 
   double Now() const;
@@ -122,7 +126,9 @@ class ShardCoordinator {
   void DispatchCell(WorkerSlot& worker, CellRef cell);
   void WorkerFailed(WorkerSlot& worker, const char* why, bool respawn);
   void RequeueOrInline(CellRef cell);
+  void FailOrRunInline(const CellRef& cell);
   void RunCellInline(const CellRef& cell);
+  void FailCell(const CellRef& cell, const std::string& why);
   void CompleteCell(const CellRef& cell, json::Value payload, double seconds);
   void HandleFrame(WorkerSlot& worker, const std::string& frame);
   void PollWorkers(double timeout_seconds);

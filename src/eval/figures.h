@@ -2,8 +2,8 @@
 // (Section 6.2). Each function builds a fresh machine/process, synthesizes
 // the benchmark program, applies the defense pass and the MemSentry pass,
 // executes both baseline and protected builds, and returns the normalized
-// runtime (1.0 == baseline). Shared by bench/ binaries and the calibration
-// tests.
+// runtime (1.0 == baseline). Shared by the suite workloads (src/suite) and
+// the calibration tests.
 #ifndef MEMSENTRY_SRC_EVAL_FIGURES_H_
 #define MEMSENTRY_SRC_EVAL_FIGURES_H_
 
@@ -29,15 +29,6 @@ struct ExperimentOptions {
   // are bit-identical for every jobs value — enforced by
   // tests/parallel_determinism_test.cc.
   int jobs = 0;
-  // Crash-safe execution: when both are set, every cell execution runs in
-  // `checkpoint_interval`-instruction slices and persists a snapshot
-  // (sim/snapshot) after each slice under `checkpoint_dir`, resuming from the
-  // newest snapshot on the next run of the same cell. Resumed results are
-  // bit-identical to uninterrupted ones — run(N+M) == run(N); save; load;
-  // run(M) — so a killed suite re-run with the same options converges to the
-  // exact same report. 0 / empty (the default) disables checkpointing.
-  std::string checkpoint_dir;
-  uint64_t checkpoint_interval = 0;
 };
 
 // One baseline-vs-protected execution pair. normalized is protected/baseline
@@ -136,8 +127,8 @@ double RunMprotectBaseline(const SpecProfile& profile, const ExperimentOptions& 
 // Synthesis is independent of the technique and the isolation flag, so the
 // campaign engine's cells re-derive byte-identical modules dozens of times
 // per profile. When the run memo is enabled this returns a copy of a cached
-// module; otherwise it synthesizes fresh, preserving fork-mode cost
-// profiles. Shared with the suite workloads (e.g. the SafeStack case study).
+// module; otherwise it synthesizes fresh, preserving the standalone cost
+// profile. Shared with the suite workloads (e.g. the SafeStack case study).
 ir::Module SynthesizeSpecProgramCached(const SpecProfile& profile,
                                        const workloads::SynthOptions& synth);
 

@@ -1,5 +1,5 @@
-// Metric accumulation for benchmark reports, shared between the standalone
-// bench binaries (through bench::Reporter) and the in-process campaign
+// Metric accumulation for benchmark reports, shared between standalone runs
+// (`memsentry_cli run`, through bench::Reporter) and the in-process campaign
 // engine (src/eval/campaign_engine.h). A ReportBuilder collects named scalar
 // metrics — fidelity, perf, info, host-perf — in insertion order; the order
 // and the bit-exact values are what the suite's determinism gate compares,

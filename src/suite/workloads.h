@@ -1,10 +1,9 @@
-// The benchmark suite as registered campaign-engine workloads. Every bench
-// binary's body lives here as an eval::Workload — quick/full cell
-// enumeration plus an assembly pass that emits the binary's exact metric
-// stream and (in print mode) its exact stdout tables — so one warm process
-// can run the whole suite through eval::CampaignEngine while the thin
-// standalone binaries (bench/*.cc + bench/suite_main.h) stay bit-identical
-// to their historical selves.
+// The benchmark suite as registered campaign-engine workloads. Every table
+// and figure lives here as an eval::Workload — quick/full cell enumeration
+// plus an assembly pass that emits its exact metric stream and (in print
+// mode) its exact stdout tables — so one warm process can run the whole
+// suite through eval::CampaignEngine while `memsentry_cli run <workload>`
+// runs any one of them standalone, bit-identically.
 #ifndef MEMSENTRY_SRC_SUITE_WORKLOADS_H_
 #define MEMSENTRY_SRC_SUITE_WORKLOADS_H_
 
@@ -24,7 +23,7 @@ void RegisterAdversaryWorkloads(eval::WorkloadRegistry& registry);
 const eval::WorkloadRegistry& SuiteRegistry();
 
 // nullptr when `name` is not a registered suite workload (bench_substrate
-// stays a real binary: it measures host time through google-benchmark).
+// is a binary of its own: it measures host time through google-benchmark).
 const eval::Workload* FindSuiteWorkload(std::string_view name);
 
 }  // namespace memsentry::suite

@@ -4,7 +4,8 @@
 //  - restored cells (the journal resume path) skip execution but feed
 //    assembly the exact payloads, reproducing the metric stream;
 //  - the runner's --engine=inproc merged report is bit-identical to the
-//    historical --engine=fork report at any --jobs;
+//    standalone `memsentry_cli run` reports at any --jobs, which reject
+//    arguments they do not recognise;
 //  - a kill -9 mid-suite plus --resume converges to the clean-run report;
 //  - `serve` round-trips submit/status/wait/cancel/shutdown over its socket.
 #include <string>
@@ -255,19 +256,30 @@ TEST(CampaignEngine, ServeSocketRoundTrip) {
 }  // namespace memsentry
 
 // ---------------------------------------------------------------------------
-// Runner-level end-to-end: the real bench_runner binary against the real
-// bench binaries.
-#if defined(MEMSENTRY_BENCH_RUNNER) && defined(MEMSENTRY_BENCH_DIR)
+// Runner-level end-to-end: the real bench_runner binary, checked against
+// standalone `memsentry_cli run` reports.
+#if defined(MEMSENTRY_BENCH_RUNNER) && defined(MEMSENTRY_CLI)
 
 namespace memsentry {
 namespace {
 
-namespace fs = std::filesystem;
+// The registered-workload subset the runner tests sweep, in the runner's
+// merge order: one figure sweep (57 cells — enough to exercise stealing and
+// mid-run kills), one case study with a memoizable baseline, one fault sweep.
+const std::vector<std::string>& Subset() {
+  static const std::vector<std::string>* names = new std::vector<std::string>{
+      "fig5_indirect", "safestack_casestudy", "fault_matrix"};
+  return *names;
+}
 
-// The registered-workload subset the runner tests sweep: one figure sweep
-// (57 cells — enough to exercise stealing and mid-run kills), one fault
-// sweep, one case study with a memoizable baseline.
-constexpr char kSubset[] = "fig5_indirect,fault_matrix,safestack_casestudy";
+// The --only= value selecting Subset().
+std::string SubsetCsv() {
+  std::string csv;
+  for (const std::string& name : Subset()) {
+    csv += (csv.empty() ? "" : ",") + name;
+  }
+  return csv;
+}
 
 struct RunnerRun {
   int exit_code = 0;
@@ -281,20 +293,22 @@ std::string FreshDir(const char* name) {
   return dir;
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
 RunnerRun RunSuite(const std::string& dir, const std::string& out_name,
                    const std::string& extra_flags) {
   RunnerRun run;
   const std::string out = dir + "/" + out_name;
   const std::string log = out + ".log";
-  const std::string command = std::string("\"") + MEMSENTRY_BENCH_RUNNER + "\" --bench-dir=\"" +
-                              MEMSENTRY_BENCH_DIR + "\" --only=" + kSubset + " --quick --out=\"" +
-                              out + "\" --no-gate " + extra_flags + " > \"" + log + "\" 2>&1";
+  const std::string command = std::string("\"") + MEMSENTRY_BENCH_RUNNER + "\" --only=" +
+                              SubsetCsv() + " --quick --out=\"" + out + "\" --no-gate " +
+                              extra_flags + " > \"" + log + "\" 2>&1";
   const int raw = std::system(command.c_str());
   run.exit_code = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
-  {
-    std::ifstream in(log);
-    run.log.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
+  run.log = ReadFile(log);
   auto merged = json::ParseFile(out);
   EXPECT_TRUE(merged.ok()) << "no merged report at " << out << "\n" << run.log;
   if (merged.ok()) {
@@ -304,7 +318,8 @@ RunnerRun RunSuite(const std::string& dir, const std::string& out_name,
 }
 
 // Every fidelity/perf metric (info and host-side metrics legitimately vary
-// run to run), serialized for exact comparison.
+// run to run), serialized in document order for exact comparison: the
+// metric order is part of what the determinism gate compares.
 std::string GatedMetrics(const json::Value& merged) {
   std::string out;
   const json::Value* metrics = merged.Find("metrics");
@@ -322,32 +337,57 @@ std::string GatedMetrics(const json::Value& merged) {
   return out;
 }
 
+// The reference every engine run is held to: each subset workload run
+// standalone through `memsentry_cli run` (RunWorkloadStandalone, its own
+// process, no run memo), merged in the runner's order into one document at
+// `path`.
+void WriteStandaloneReference(const std::string& dir, const std::string& path) {
+  json::Value metrics = json::Value::Object();
+  for (const std::string& name : Subset()) {
+    const std::string report = dir + "/standalone_" + name + ".json";
+    const std::string command = std::string("\"") + MEMSENTRY_CLI + "\" run " + name +
+                                " --instructions=100000 --json=\"" + report +
+                                "\" --bundle-root=\"" + dir + "/bundles\" > \"" + report +
+                                ".log\" 2>&1";
+    const int raw = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(raw) && WEXITSTATUS(raw) == 0) << name << "\n"
+                                                         << ReadFile(report + ".log");
+    auto parsed = json::ParseFile(report);
+    ASSERT_TRUE(parsed.ok()) << report;
+    for (const auto& [metric, entry] : parsed->Find("metrics")->members()) {
+      metrics.Set(metric, entry);
+    }
+  }
+  json::Value doc = json::Value::Object();
+  doc.Set("metrics", std::move(metrics));
+  ASSERT_TRUE(json::WriteFileAtomic(path, doc).ok()) << path;
+}
+
 // The acceptance property: the inproc engine's merged report is
-// bit-identical to the fork engine's at every --jobs value, and the
+// bit-identical to the standalone reports at every --jobs value, and the
 // runner's own --check-determinism agrees.
-TEST(BenchRunnerEngine, InprocMatchesForkAtAnyJobs) {
+TEST(BenchRunnerEngine, InprocMatchesStandaloneAtAnyJobs) {
   const std::string dir = FreshDir("campaign_engine_inproc");
-  const RunnerRun fork_run = RunSuite(dir, "fork.json", "--engine=fork --jobs=2");
-  ASSERT_EQ(fork_run.exit_code, 0) << fork_run.log;
-  const json::Value* fork_engine = fork_run.merged.Find("engine");
-  ASSERT_NE(fork_engine, nullptr);
-  EXPECT_EQ(fork_engine->StringOr("engine", ""), "fork");
-  const std::string fork_metrics = GatedMetrics(fork_run.merged);
-  ASSERT_FALSE(fork_metrics.empty());
+  const std::string reference_path = dir + "/standalone.json";
+  ASSERT_NO_FATAL_FAILURE(WriteStandaloneReference(dir, reference_path));
+  auto reference = json::ParseFile(reference_path);
+  ASSERT_TRUE(reference.ok());
+  const std::string reference_metrics = GatedMetrics(*reference);
+  ASSERT_FALSE(reference_metrics.empty());
 
   for (const char* jobs : {"1", "4", "0"}) {  // 0 = hardware_concurrency
     const std::string out = std::string("inproc_j") + jobs + ".json";
     const RunnerRun inproc = RunSuite(dir, out,
                                       std::string("--engine=inproc --jobs=") + jobs +
-                                          " --check-determinism=\"" + dir + "/fork.json\"");
+                                          " --check-determinism=\"" + reference_path + "\"");
     ASSERT_EQ(inproc.exit_code, 0) << inproc.log;
     EXPECT_NE(inproc.log.find("determinism check ok"), std::string::npos) << inproc.log;
     const json::Value* engine = inproc.merged.Find("engine");
     ASSERT_NE(engine, nullptr);
     EXPECT_EQ(engine->StringOr("engine", ""), "inproc");
     EXPECT_GT(engine->NumberOr("cells_run", 0) + engine->NumberOr("cells_restored", 0), 0);
-    EXPECT_EQ(GatedMetrics(inproc.merged), fork_metrics) << "--jobs=" << jobs;
-    // Satellite: per-cell timing info metrics ride along in the merged doc.
+    EXPECT_EQ(GatedMetrics(inproc.merged), reference_metrics) << "--jobs=" << jobs;
+    // Per-cell timing info metrics ride along in the merged doc.
     const json::Value* metrics = inproc.merged.Find("metrics");
     ASSERT_NE(metrics, nullptr);
     bool has_cell_timing = false;
@@ -356,6 +396,20 @@ TEST(BenchRunnerEngine, InprocMatchesForkAtAnyJobs) {
       (void)entry;
     }
     EXPECT_TRUE(has_cell_timing);
+  }
+}
+
+// `run` takes only the =-form flags it documents: the space form or a typo
+// would otherwise run silently at the default budget.
+TEST(MemsentryCliRun, RejectsUnrecognisedArguments) {
+  const std::string dir = FreshDir("cli_run_args");
+  for (const char* args : {"--instructions 50000", "--job=2", "--quik"}) {
+    const std::string log = dir + "/run.log";
+    const std::string command = std::string("\"") + MEMSENTRY_CLI + "\" run fig4_callret " +
+                                args + " > \"" + log + "\" 2>&1";
+    const int raw = std::system(command.c_str());
+    EXPECT_TRUE(WIFEXITED(raw) && WEXITSTATUS(raw) == 2) << args;
+    EXPECT_NE(ReadFile(log).find("unrecognised argument"), std::string::npos) << args;
   }
 }
 
@@ -374,8 +428,7 @@ TEST(BenchRunnerEngine, JournalResumeAfterKillNine) {
   const std::string journal = dir + "/journal.jsonl";
   const std::vector<std::string> arg_strings = {
       MEMSENTRY_BENCH_RUNNER,
-      "--bench-dir=" + std::string(MEMSENTRY_BENCH_DIR),
-      "--only=" + std::string(kSubset),
+      "--only=" + SubsetCsv(),
       "--quick",
       "--engine=inproc",
       "--jobs=2",
@@ -414,10 +467,17 @@ TEST(BenchRunnerEngine, JournalResumeAfterKillNine) {
   auto header = json::Parse(header_line);
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header.value().StringOr("engine", ""), "inproc");
+  // Resuming under a different configuration must refuse to merge, loudly.
+  const std::string mismatched = std::string("\"") + MEMSENTRY_BENCH_RUNNER + "\" --only=" +
+                                 SubsetCsv() + " --quick --engine=inproc --jobs=2 --out=\"" +
+                                 out + "\" --journal=\"" + journal +
+                                 "\" --no-gate --resume --instructions=123 > /dev/null 2>&1";
+  const int raw = std::system(mismatched.c_str());
+  EXPECT_TRUE(WIFEXITED(raw) && WEXITSTATUS(raw) == 2);
 }
 
 }  // namespace
 }  // namespace memsentry
 
-#endif  // MEMSENTRY_BENCH_RUNNER && MEMSENTRY_BENCH_DIR
+#endif  // MEMSENTRY_BENCH_RUNNER && MEMSENTRY_CLI
 #endif  // !_WIN32

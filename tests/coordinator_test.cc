@@ -5,6 +5,8 @@
 //    only: the report still converges to the clean run's exact bytes;
 //  - total worker loss degrades to in-process execution — the suite always
 //    completes, flagged `degraded`;
+//  - a cell that kills its worker on every attempt ends as a typed job
+//    failure and never runs inline, so it cannot take the coordinator down;
 //  - restore/on_cell_done durability hooks mirror the engine's semantics;
 //  - the chaos schedule is a pure function of (seed, workload, cell,
 //    attempt) and re-dispatched attempts always run clean.
@@ -21,8 +23,11 @@
 
 #if !defined(_WIN32) && defined(MEMSENTRY_CLI)
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
@@ -263,6 +268,72 @@ TEST(ShardCoordinator, RestoredCellsSkipDispatchAndReproduceMetrics) {
   EXPECT_EQ(first, second);
   EXPECT_EQ(second_stats.cells_restored, payloads.size());
   EXPECT_EQ(second_stats.cells_dispatched, 0u);
+}
+
+// A cell that kills its worker on every attempt — fault_matrix's forced
+// crash aborts whichever process runs it — must end as a typed job failure,
+// never inline: an inline run would abort the coordinator as well. With two
+// workers the attempt cap catches it; with one, three deaths in a row
+// quarantine the only worker first (the raised attempt cap guarantees it)
+// and the degraded path must catch it. Returns 0 only if the coordinator
+// survived, the crashing job failed typed, and every other cell completed.
+int RunLethalCellScenario(int workers) {
+  std::map<std::string, size_t> completed;
+  eval::CoordinatorOptions options;
+  options.worker_cli = MEMSENTRY_CLI;
+  options.socket_dir = FreshDir(workers == 1 ? "lethal_w1" : "lethal");
+  options.workers = workers;
+  if (workers == 1) {
+    options.max_attempts = 8;
+  }
+  options.quiet = true;
+  options.on_cell_done = [&completed](const std::string& workload, const std::string&,
+                                      const json::Value&) { ++completed[workload]; };
+  eval::ShardCoordinator coordinator(&suite::SuiteRegistry(), std::move(options));
+  eval::WorkloadOptions lethal = QuickOptions();
+  lethal.extra["force_crash"] = "MPK/pkru-desync";
+  coordinator.Submit("fault_matrix", lethal);
+  coordinator.Submit("table4_micro", QuickOptions());
+  const int status = coordinator.Run();
+  const eval::JobReport* crashed = coordinator.Find("fault_matrix");
+  const eval::JobReport* healthy = coordinator.Find("table4_micro");
+  const bool crashed_typed = crashed != nullptr && crashed->state == eval::JobState::kFailed &&
+                             crashed->status == 1 &&
+                             completed["fault_matrix"] + 1 == crashed->cell_names.size();
+  const bool healthy_done = healthy != nullptr && healthy->state == eval::JobState::kDone &&
+                            healthy->status == 0 &&
+                            completed["table4_micro"] == healthy->cell_names.size();
+  const eval::CoordinatorStats& stats = coordinator.stats();
+  std::fprintf(stderr,
+               "workers=%d status=%d crashed_typed=%d healthy_done=%d inlined=%llu "
+               "respawned=%llu degraded=%d\n",
+               workers, status, crashed_typed, healthy_done,
+               static_cast<unsigned long long>(stats.cells_inlined),
+               static_cast<unsigned long long>(stats.workers_respawned), stats.degraded);
+  const bool survived_typed = status != 0 && crashed_typed && healthy_done &&
+                              stats.cells_inlined == 0 && stats.workers_respawned > 0 &&
+                              stats.degraded == (workers == 1);
+  return survived_typed ? 0 : 1;
+}
+
+// Runs each scenario in a forked child, so a coordinator that dies fails
+// this test rather than the test binary. The child leads its own process
+// group: whatever workers a dead coordinator orphaned are killed with it.
+TEST(ShardCoordinator, LethalCellFailsTypedAndCoordinatorSurvives) {
+  for (const int workers : {2, 1}) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::setpgid(0, 0);
+      ::_exit(RunLethalCellScenario(workers));
+    }
+    int wstatus = 0;
+    ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+    ::kill(-pid, SIGKILL);
+    ASSERT_TRUE(WIFEXITED(wstatus))
+        << "workers=" << workers << ": the coordinator died with signal " << WTERMSIG(wstatus);
+    EXPECT_EQ(WEXITSTATUS(wstatus), 0) << "workers=" << workers;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// End-to-end robustness tests for tools/bench_runner: a hanging benchmark
-// binary is timed out (SIGTERM, then SIGKILL) and classified distinctly from
-// a crash, a SIGSEGV binary is retried once, a binary that dies after
-// writing its report has the report salvaged, and a healthy binary's metrics
-// survive into the merged document regardless of the carnage around it. The
-// suite binaries are stand-in shell scripts, so the scenarios are exact and
-// fast.
+// End-to-end robustness tests for tools/bench_runner's one forked entry,
+// bench_substrate: a hanging binary is timed out (SIGTERM, then SIGKILL) and
+// classified distinctly from a crash, a SIGSEGV binary is retried once, a
+// binary that dies after writing its report has the report salvaged, and
+// the engine's workloads survive into the merged document regardless of the
+// carnage beside them. Each scenario points --bench-dir at its own
+// directory holding a stand-in bench_substrate shell script, so the
+// scenarios are exact and fast.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -45,18 +46,16 @@ struct RunnerRun {
   json::Value merged;
 };
 
-RunnerRun RunSuite(const std::string& dir, const std::string& only,
-                   const std::string& extra_flags) {
+// Runs the suite with `dir` as the bench directory: bench_substrate is the
+// stand-in script there, plus any registered workloads in `also`.
+RunnerRun RunSuite(const std::string& dir, const std::string& extra_flags,
+                   const std::string& also = "") {
   RunnerRun run;
   const std::string out = dir + "/BENCH_RESULTS.json";
-  // These scenarios exercise the forked-child machinery (timeouts, signal
-  // retries, report salvage), so they pin --engine=fork: the default
-  // in-process engine would run the registered workload bodies instead of
-  // the stand-in scripts. tests/campaign_engine_test.cc covers inproc.
   const std::string command = std::string("\"") + MEMSENTRY_BENCH_RUNNER +
-                              "\" --bench-dir=\"" + dir + "\" --only=" + only +
-                              " --engine=fork --out=\"" + out + "\" --no-gate " + extra_flags +
-                              " > \"" + dir + "/runner.log\" 2>&1";
+                              "\" --quick --bench-dir=\"" + dir + "\" --only=bench_substrate" +
+                              also + " --out=\"" + out + "\" --no-gate " + extra_flags + " > \"" +
+                              dir + "/runner.log\" 2>&1";
   const int raw = std::system(command.c_str());
   run.exit_code = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
   auto merged = json::ParseFile(out);
@@ -67,101 +66,65 @@ RunnerRun RunSuite(const std::string& dir, const std::string& only,
   return run;
 }
 
+// The merged header entry for the forked binary.
+const json::Value* Substrate(const RunnerRun& run) {
+  const json::Value* binaries = run.merged.Find("binaries");
+  return binaries == nullptr ? nullptr : binaries->Find("bench_substrate");
+}
+
 std::string FreshDir(const char* name) {
   const std::string dir = ::testing::TempDir() + name;
   std::system(("rm -rf \"" + dir + "\" && mkdir -p \"" + dir + "\"").c_str());
   return dir;
 }
 
-TEST(BenchRunnerRobustness, SurvivesHangCrashAndSalvage) {
-  const std::string dir = FreshDir("runner_robustness");
-  // Names must be real suite entries: the runner rejects unknown --only.
-  WriteScript(dir + "/table1_defenses", "exec sleep 600\n");       // hangs
-  WriteScript(dir + "/table2_applicability", "kill -SEGV $$\n");   // crashes
-  WriteScript(dir + "/table3_limits", ReportingScript("fake/survivor"));
-  WriteScript(dir + "/table4_micro",
-              ReportingScript("fake/salvaged") + "kill -SEGV $$\n");  // dies after report
-
-  const RunnerRun run = RunSuite(
-      dir, "table1_defenses,table2_applicability,table3_limits,table4_micro", "--timeout=2");
-  EXPECT_NE(run.exit_code, 0);  // the suite had failures and says so
-
-  const json::Value* binaries = run.merged.Find("binaries");
-  ASSERT_NE(binaries, nullptr);
-
-  const json::Value* hung = binaries->Find("table1_defenses");
+TEST(BenchRunnerRobustness, HangIsTimedOutAndNeverRetried) {
+  const std::string dir = FreshDir("runner_hang");
+  WriteScript(dir + "/bench_substrate", "exec sleep 600\n");
+  const RunnerRun run = RunSuite(dir, "--timeout=2");
+  EXPECT_NE(run.exit_code, 0);  // the suite had a failure and says so
+  const json::Value* hung = Substrate(run);
   ASSERT_NE(hung, nullptr);
   EXPECT_TRUE(hung->BoolOr("timed_out", false));
   EXPECT_EQ(hung->NumberOr("retries", -1), 0);  // timeouts are never retried
+}
 
-  const json::Value* crashed = binaries->Find("table2_applicability");
+// A crashing forked binary is retried once, then reported — and the
+// engine's workloads running beside it still land in the merged document.
+TEST(BenchRunnerRobustness, CrashIsRetriedOnceAndEngineMetricsSurvive) {
+  const std::string dir = FreshDir("runner_crash");
+  WriteScript(dir + "/bench_substrate", "kill -SEGV $$\n");
+  const RunnerRun run = RunSuite(dir, "--timeout=30", ",table4_micro");
+  EXPECT_NE(run.exit_code, 0);
+  const json::Value* crashed = Substrate(run);
   ASSERT_NE(crashed, nullptr);
   EXPECT_FALSE(crashed->BoolOr("timed_out", true));
   EXPECT_EQ(crashed->NumberOr("signal", 0), SIGSEGV);
   EXPECT_EQ(crashed->NumberOr("retries", 0), 1);  // one retry, then give up
+  EXPECT_FALSE(crashed->BoolOr("salvaged", true));
 
-  const json::Value* healthy = binaries->Find("table3_limits");
+  const json::Value* healthy = run.merged.Find("binaries")->Find("table4_micro");
   ASSERT_NE(healthy, nullptr);
   EXPECT_EQ(healthy->NumberOr("exit", -1), 0);
-  EXPECT_FALSE(healthy->BoolOr("timed_out", true));
-
-  const json::Value* salvaged = binaries->Find("table4_micro");
-  ASSERT_NE(salvaged, nullptr);
-  EXPECT_TRUE(salvaged->BoolOr("salvaged", false));
-
-  // The healthy binary's metrics and the salvaged report both made it into
-  // the merged document.
-  const json::Value* metrics = run.merged.Find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  EXPECT_NE(metrics->Find("fake/survivor"), nullptr);
-  EXPECT_NE(metrics->Find("fake/salvaged"), nullptr);
+  bool has_table4 = false;
+  for (const auto& [name, entry] : run.merged.Find("metrics")->members()) {
+    has_table4 |= name.rfind("table4/", 0) == 0;
+    (void)entry;
+  }
+  EXPECT_TRUE(has_table4);
 }
 
-// The write-ahead journal end to end: a suite with one healthy and one
-// crashing binary leaves a journal; after the crasher is "fixed", --resume
-// re-runs only it — the healthy binary's completion is taken from the
-// journal (its invocation count stays at one) and marked as resumed.
-TEST(BenchRunnerRobustness, JournalResumeSkipsCompletedBinaries) {
-  const std::string dir = FreshDir("runner_resume");
-  const std::string count = dir + "/invocations";
-  WriteScript(dir + "/table3_limits",
-              "echo run >> \"" + count + "\"\n" + ReportingScript("fake/healthy"));
-  WriteScript(dir + "/table4_micro", "kill -SEGV $$\n");
-
-  const RunnerRun first = RunSuite(dir, "table3_limits,table4_micro", "--timeout=30");
-  EXPECT_NE(first.exit_code, 0);
-  {
-    std::ifstream journal(dir + "/BENCH_JOURNAL.jsonl");
-    std::string header;
-    ASSERT_TRUE(std::getline(journal, header));
-    EXPECT_NE(header.find("\"journal\""), std::string::npos);
-  }
-
-  // Resuming under a different configuration must refuse to merge, loudly.
-  const RunnerRun mismatched =
-      RunSuite(dir, "table3_limits,table4_micro", "--timeout=30 --resume --instructions=123");
-  EXPECT_EQ(mismatched.exit_code, 2);
-
-  WriteScript(dir + "/table4_micro", ReportingScript("fake/fixed"));
-  const RunnerRun second = RunSuite(dir, "table3_limits,table4_micro", "--timeout=30 --resume");
-  EXPECT_EQ(second.exit_code, 0);
-
-  // The healthy binary ran exactly once across both suite invocations.
-  std::ifstream in(count);
-  int lines = 0;
-  for (std::string line; std::getline(in, line);) {
-    ++lines;
-  }
-  EXPECT_EQ(lines, 1);
-
-  const json::Value* healthy = second.merged.Find("binaries")->Find("table3_limits");
-  ASSERT_NE(healthy, nullptr);
-  EXPECT_TRUE(healthy->BoolOr("resumed", false));
-  const json::Value* fixed = second.merged.Find("binaries")->Find("table4_micro");
-  ASSERT_NE(fixed, nullptr);
-  EXPECT_FALSE(fixed->BoolOr("resumed", false));  // re-ran, not journal-sourced
-  EXPECT_NE(second.merged.Find("metrics")->Find("fake/healthy"), nullptr);
-  EXPECT_NE(second.merged.Find("metrics")->Find("fake/fixed"), nullptr);
+// A binary that dies after writing its report contributes every metric it
+// produced.
+TEST(BenchRunnerRobustness, DeadBinaryReportIsSalvaged) {
+  const std::string dir = FreshDir("runner_salvage");
+  WriteScript(dir + "/bench_substrate", ReportingScript("fake/salvaged") + "kill -SEGV $$\n");
+  const RunnerRun run = RunSuite(dir, "--timeout=30");
+  EXPECT_NE(run.exit_code, 0);
+  const json::Value* salvaged = Substrate(run);
+  ASSERT_NE(salvaged, nullptr);
+  EXPECT_TRUE(salvaged->BoolOr("salvaged", false));
+  EXPECT_NE(run.merged.Find("metrics")->Find("fake/salvaged"), nullptr);
 }
 
 // Atomic report writes from the runner's perspective: a binary that dies
@@ -169,16 +132,16 @@ TEST(BenchRunnerRobustness, JournalResumeSkipsCompletedBinaries) {
 // temp+rename) must not have that file salvaged as a report.
 TEST(BenchRunnerRobustness, HalfWrittenTempFileIsNeverSalvaged) {
   const std::string dir = FreshDir("runner_tempfile");
-  WriteScript(dir + "/table3_limits",
+  WriteScript(dir + "/bench_substrate",
               "out=\"\"\n"
               "for a in \"$@\"; do case \"$a\" in --json=*) out=\"${a#--json=}\";; esac; done\n"
               "printf '{\"schema\":1,\"wall_seconds\":0.01,\"metrics\":{\"fake/teased\":'"
               " > \"$out.tmp\"\n"  // a torn prefix at the temp path, never renamed
               "kill -SEGV $$\n");
 
-  const RunnerRun run = RunSuite(dir, "table3_limits", "--timeout=30");
+  const RunnerRun run = RunSuite(dir, "--timeout=30");
   EXPECT_NE(run.exit_code, 0);
-  const json::Value* info = run.merged.Find("binaries")->Find("table3_limits");
+  const json::Value* info = Substrate(run);
   ASSERT_NE(info, nullptr);
   EXPECT_FALSE(info->BoolOr("salvaged", true));
   EXPECT_EQ(run.merged.Find("metrics")->Find("fake/teased"), nullptr);
@@ -190,30 +153,30 @@ TEST(BenchRunnerRobustness, HalfWrittenTempFileIsNeverSalvaged) {
 TEST(BenchRunnerRobustness, RetriesWriteStampedReportPaths) {
   const std::string dir = FreshDir("runner_retry");
   const std::string marker = dir + "/already_crashed";
-  WriteScript(dir + "/table3_limits",
+  WriteScript(dir + "/bench_substrate",
               "if [ ! -f \"" + marker + "\" ]; then touch \"" + marker +
                   "\"; kill -SEGV $$; fi\n" + ReportingScript("fake/second_try"));
 
-  const RunnerRun run = RunSuite(dir, "table3_limits", "--timeout=30");
+  const RunnerRun run = RunSuite(dir, "--timeout=30");
   EXPECT_EQ(run.exit_code, 0);
-  const json::Value* info = run.merged.Find("binaries")->Find("table3_limits");
+  const json::Value* info = Substrate(run);
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->NumberOr("retries", 0), 1);
   const json::Value* reports = info->Find("reports");
   ASSERT_NE(reports, nullptr);
   ASSERT_EQ(reports->size(), 2u);
   const std::string retry_path = reports->items()[1].string_value();
-  EXPECT_NE(retry_path.find("table3_limits.retry1.json"), std::string::npos);
+  EXPECT_NE(retry_path.find("bench_substrate.retry1.json"), std::string::npos);
   EXPECT_TRUE(json::ParseFile(retry_path).ok()) << retry_path;
   EXPECT_NE(run.merged.Find("metrics")->Find("fake/second_try"), nullptr);
 }
 
 TEST(BenchRunnerRobustness, CleanSuiteReportsCleanHeader) {
   const std::string dir = FreshDir("runner_clean");
-  WriteScript(dir + "/table1_defenses", ReportingScript("fake/clean"));
-  const RunnerRun run = RunSuite(dir, "table1_defenses", "--timeout=30");
+  WriteScript(dir + "/bench_substrate", ReportingScript("fake/clean"));
+  const RunnerRun run = RunSuite(dir, "--timeout=30");
   EXPECT_EQ(run.exit_code, 0);
-  const json::Value* info = run.merged.Find("binaries")->Find("table1_defenses");
+  const json::Value* info = Substrate(run);
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->NumberOr("exit", -1), 0);
   EXPECT_FALSE(info->BoolOr("timed_out", true));

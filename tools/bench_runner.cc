@@ -1,7 +1,7 @@
-// bench_runner — executes the whole benchmark suite, merges every binary's
-// --json report into one BENCH_RESULTS.json, and gates the result against a
-// committed baseline snapshot (bench/baselines/). Exits nonzero when a bench
-// binary fails or a fidelity metric drifts beyond its tolerance, so CI can
+// bench_runner — executes the whole benchmark suite, merges every workload's
+// metric stream into one BENCH_RESULTS.json, and gates the result against a
+// committed baseline snapshot (bench/baselines/). Exits nonzero when a
+// workload fails or a fidelity metric drifts beyond its tolerance, so CI can
 // consume it directly.
 //
 //   bench_runner                      full suite (400k-instruction workloads)
@@ -13,108 +13,59 @@
 //   bench_runner --compare=RESULTS    gate an existing merged report, run nothing
 //   bench_runner --write-baseline=P   also snapshot the merged report to P
 //   bench_runner --no-gate            produce BENCH_RESULTS.json, skip comparison
-//   bench_runner --verbose            stream per-binary stdout instead of logging
-//                                     (forces --jobs=1 to keep output readable)
-//   bench_runner --jobs=N             total parallelism budget: up to N bench
-//                                     binaries run concurrently, and a lone
-//                                     binary fans its sweeps out over N workers.
-//                                     Default: hardware_concurrency. Results
-//                                     are bit-identical for every N.
-//   bench_runner --timeout=SECONDS    per-binary wall-clock budget (default
-//                                     600; 0 disables). A binary over budget
-//                                     gets SIGTERM, then SIGKILL after a
-//                                     grace period, and is classified
-//                                     "timed out" — distinct from a crash.
-//                                     Binaries killed by any other signal are
-//                                     retried once after a short backoff; a
-//                                     parseable report left behind by a dead
-//                                     binary is salvaged into the merged
-//                                     document so the gate sees every metric
-//                                     the run actually produced.
 //   bench_runner --check-determinism=OTHER.json
 //                                     require every fidelity/perf metric to be
 //                                     byte-identical to OTHER (info metrics
 //                                     such as wall-clock are exempt)
-//   bench_runner --fastpath=MODE      run every binary with the simulator
-//                                     fast paths forced on|off|check (exported
-//                                     as MEMSENTRY_FASTPATH to the children).
-//                                     Modeled results are bit-identical across
-//                                     modes; "check" additionally validates
-//                                     the fast paths in lockstep and aborts on
-//                                     divergence. Default: the environment's
-//                                     setting (effectively "on").
-//   bench_runner --journal=PATH       suite journal location (default:
-//                                     BENCH_JOURNAL.jsonl next to --out). The
-//                                     runner write-ahead journals every binary
-//                                     start/completion; each append rewrites
-//                                     the journal atomically, so a kill -9 at
-//                                     any point leaves a complete journal.
-//   bench_runner --resume             resume a killed run from its journal:
-//                                     binaries journaled as cleanly done (with
-//                                     a parseable report on disk) are not
-//                                     re-executed; in-flight or failed ones
-//                                     re-run. The merged report and gate
-//                                     verdict are identical to an
-//                                     uninterrupted run's (the suite is
-//                                     deterministic; host wall-clocks are info
-//                                     metrics and never gated).
-//   bench_runner --checkpoint-interval=N
-//                                     forward per-cell checkpointing to the
-//                                     bench binaries: every experiment cell
-//                                     snapshots its simulation state each N
-//                                     instructions (under
-//                                     bench_reports/checkpoints/<binary>), so
-//                                     --resume also resumes mid-cell.
-//   bench_runner --engine=inproc|fork
-//                                     inproc (the default) runs every
-//                                     registered suite workload inside this
-//                                     process through one warm
-//                                     eval::CampaignEngine: cells scheduled
-//                                     onto a persistent work-stealing pool,
-//                                     one shared decode cache, and the suite
-//                                     journal extended with per-cell events so
-//                                     --resume restarts at cell — not binary —
-//                                     granularity. Only bench_substrate still
-//                                     forks (it measures host time and wants
-//                                     an unshared process). fork keeps the
-//                                     historical one-process-per-binary
-//                                     isolation (CI crash-resume, --verbose
-//                                     implies it). Fidelity/perf metrics are
-//                                     bit-identical between the two engines.
-//   bench_runner --engine=shard       fault-tolerant multi-process run: an
-//                                     eval::ShardCoordinator dispatches every
-//                                     registered workload's cells to
-//                                     --workers=N `memsentry_cli serve`
-//                                     subprocesses under time-bounded leases
-//                                     (--lease=SECONDS), re-dispatching on
-//                                     worker death/hang/garbage, quarantining
-//                                     repeat offenders, and degrading to
-//                                     in-process execution if the whole fleet
-//                                     dies. --chaos=kill,hang,garble:seed=S
-//                                     arms the workers' deterministic fault
-//                                     harness. Fidelity/perf metrics stay
-//                                     bit-identical to the other engines at
-//                                     any worker count and chaos schedule;
-//                                     coordinator/* info metrics record the
-//                                     failure traffic.
+//   bench_runner --fastpath=on|off|check
+//                                     force the simulator fast paths (also
+//                                     exported as MEMSENTRY_FASTPATH); modeled
+//                                     results are bit-identical across modes,
+//                                     "check" validates them in lockstep
+//   bench_runner --journal=PATH       suite journal (default: BENCH_JOURNAL.jsonl
+//                                     next to --out): a configuration header,
+//                                     then one event per finished cell
+//   bench_runner --resume             restore every journaled cell of a killed
+//                                     run with the same configuration and run
+//                                     the rest; the merged report is identical
+//                                     to an uninterrupted run's
+//
+// Engines. --engine=inproc (the default) runs every registered suite workload
+// (src/suite/workloads.h) inside this process through one warm
+// eval::CampaignEngine of --jobs=N workers (default hardware_concurrency):
+// cells on a work-stealing pool sharing one decode cache and run memo.
+// --engine=shard hands the same cells to an eval::ShardCoordinator driving
+// --workers=N `memsentry_cli serve` subprocesses under --lease=SECONDS
+// leases, re-dispatching on worker death/hang/garbage, quarantining repeat
+// offenders and degrading to in-process execution if the whole fleet dies;
+// --chaos=kill,hang,garble:seed=S arms the workers' fault harness and
+// --worker-cli=PATH overrides the sibling memsentry_cli. Fidelity/perf
+// metrics are bit-identical across engines, worker counts and chaos
+// schedules.
+//
+// Only bench_substrate forks (it measures host time and wants an unshared
+// process), from --bench-dir (default build/bench). --timeout=SECONDS
+// (default 600; 0 disables) bounds it: over budget it gets SIGTERM, then
+// SIGKILL, and is classified "timed out" — distinct from a crash. A signal
+// death is retried once; a parseable report left behind by a dead attempt
+// is salvaged into the merged document.
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
-
-#ifndef _WIN32
-#include <csignal>
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 #include "src/base/fastpath.h"
 #include "src/base/json.h"
@@ -145,9 +96,11 @@ struct SuiteEntry {
   const char* quick_extra = "";
 };
 
-// Every benchmark binary in bench/. bench_substrate measures host time via
-// google-benchmark, so quick mode shrinks its minimum measuring time instead
-// of its (unused) instruction budget.
+// The suite, in merge order. Every entry but bench_substrate is a registered
+// workload (src/suite/workloads.h) run by the engine; bench_substrate
+// measures host time via google-benchmark in its own process, so quick mode
+// shrinks its minimum measuring time instead of its (unused) instruction
+// budget.
 const SuiteEntry kSuite[] = {
     {"table1_defenses"},
     {"table2_applicability"},
@@ -174,13 +127,11 @@ const SuiteEntry kSuite[] = {
 
 struct Options {
   bool quick = false;
-  bool verbose = false;
   bool gate = true;
   bool resume = false;
-  uint64_t instructions = 0;         // 0 = mode default
-  uint64_t checkpoint_interval = 0;  // 0 = no per-cell checkpointing
-  double timeout_seconds = 600;      // per-binary wall-clock budget; 0 = none
-  int jobs = 0;                      // 0 = hardware_concurrency; 1 = fully serial
+  uint64_t instructions = 0;     // 0 = mode default
+  double timeout_seconds = 600;  // forked-binary wall-clock budget; 0 = none
+  int jobs = 0;                  // 0 = hardware_concurrency; 1 = fully serial
   std::string bench_dir;
   std::string out = "BENCH_RESULTS.json";
   std::string baseline;
@@ -188,7 +139,7 @@ struct Options {
   std::string compare_existing;
   std::string write_baseline;
   std::string check_determinism;
-  std::string engine = "inproc";  // inproc | fork | shard
+  std::string engine = "inproc";  // inproc | shard
   std::string fastpath;           // empty = inherit the environment
   std::string journal;            // empty = BENCH_JOURNAL.jsonl next to --out
   int workers = 3;                // --engine=shard: serve subprocess count
@@ -228,13 +179,10 @@ struct CommandStatus {
   }
 };
 
-#ifndef _WIN32
-
-// fork/exec with stdout+stderr redirected to `log_path` (empty = inherit,
-// the --verbose path) and a wall-clock budget: a child over budget gets
-// SIGTERM, then SIGKILL once the grace period lapses, so even a child that
-// ignores SIGTERM cannot hang the suite. `timeout_seconds` <= 0 disables
-// the budget.
+// fork/exec with stdout+stderr redirected to `log_path` and a wall-clock
+// budget: a child over budget gets SIGTERM, then SIGKILL once the grace
+// period lapses, so even a child that ignores SIGTERM cannot hang the suite.
+// `timeout_seconds` <= 0 disables the budget.
 CommandStatus RunProcess(const std::vector<std::string>& args, const std::string& log_path,
                          double timeout_seconds) {
   CommandStatus status;
@@ -244,13 +192,11 @@ CommandStatus RunProcess(const std::vector<std::string>& args, const std::string
     return status;
   }
   if (pid == 0) {
-    if (!log_path.empty()) {
-      const int fd = open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      if (fd >= 0) {
-        dup2(fd, STDOUT_FILENO);
-        dup2(fd, STDERR_FILENO);
-        close(fd);
-      }
+    const int fd = open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd >= 0) {
+      dup2(fd, STDOUT_FILENO);
+      dup2(fd, STDERR_FILENO);
+      close(fd);
     }
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
@@ -307,29 +253,6 @@ CommandStatus RunProcess(const std::vector<std::string>& args, const std::string
   }
 }
 
-#else  // _WIN32: no fork; run unbounded through the shell.
-
-CommandStatus RunProcess(const std::vector<std::string>& args, const std::string& log_path,
-                         double) {
-  std::string command;
-  for (const std::string& arg : args) {
-    command += "\"" + arg + "\" ";
-  }
-  if (!log_path.empty()) {
-    command += "> \"" + log_path + "\" 2>&1";
-  }
-  CommandStatus status;
-  const int raw = std::system(command.c_str());
-  if (raw == -1) {
-    status.spawn_failed = true;
-  } else {
-    status.exit_code = raw;
-  }
-  return status;
-}
-
-#endif
-
 std::vector<std::string> SplitCsv(const std::string& csv) {
   std::vector<std::string> out;
   size_t start = 0;
@@ -357,15 +280,12 @@ bool Contains(const std::vector<std::string>& list, const std::string& name) {
 }
 
 // Write-ahead suite journal: one JSON object per line — a header describing
-// the run configuration, then {"event":"start"|"done",...} per binary and,
-// under the in-process engine, one {"event":"cell",...} per finished cell.
+// the run configuration, then one {"event":"cell",...} per finished cell.
 // The header (and a resumed run's replayed prefix) goes through the
-// temp-file+rename path; every event after that is appended with a single
-// buffered write + flush. An engine run appends hundreds of cell events, so
-// rewriting the whole file per event — the scheme binary-granular journaling
-// used — would make journaling quadratic in suite size. The append can tear
-// at most the line in flight under a kill -9; LoadJournal drops a torn tail
-// and resumes from the last complete event.
+// temp-file+rename path; every cell event after that is appended with a
+// single buffered write + flush, so journaling stays linear in suite size.
+// The append can tear at most the line in flight under a kill -9;
+// LoadJournal drops a torn tail and resumes from the last complete event.
 class Journal {
  public:
   explicit Journal(std::string path) : path_(std::move(path)) {}
@@ -374,8 +294,6 @@ class Journal {
       std::fclose(file_);
     }
   }
-
-  const std::string& path() const { return path_; }
 
   // Starts a fresh journal (overwrites any previous run's).
   void Start(const json::Value& header) {
@@ -425,29 +343,21 @@ class Journal {
 };
 
 // What a previous run's journal says about the suite: the run-configuration
-// header, per binary the last completion event, and — engine runs — every
-// completed cell's payload, keyed (workload, cell). Cell payloads are what
-// make --resume cell-granular under --engine=inproc: a restored cell skips
-// execution entirely and feeds its journaled payload straight to assembly.
+// header and every completed cell's payload, keyed (workload, cell). A
+// restored cell skips execution entirely and feeds its journaled payload
+// straight to assembly.
 struct JournalState {
   json::Value header;
-  std::map<std::string, json::Value> done;  // binary name -> "done" event
   std::map<std::string, std::map<std::string, json::Value>> cells;  // workload -> cell -> payload
-  std::string raw;                          // full text, continued on resume
+  std::string raw;  // complete-line text, continued on resume
 };
 
 StatusOr<JournalState> LoadJournal(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
     return NotFound("no journal at " + path);
   }
-  std::string text;
-  char buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    text.append(buf, n);
-  }
-  std::fclose(f);
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
 
   JournalState state;
   state.raw = text;
@@ -480,13 +390,9 @@ StatusOr<JournalState> LoadJournal(const std::string& path) {
       first = false;
       continue;
     }
-    const std::string event = parsed->StringOr("event", "");
-    if (event == "done") {
-      state.done[parsed->StringOr("binary", "")] = std::move(parsed).value();
-    } else if (event == "cell") {
-      if (const json::Value* payload = parsed->Find("payload"); payload != nullptr) {
-        state.cells[parsed->StringOr("binary", "")][parsed->StringOr("cell", "")] = *payload;
-      }
+    if (const json::Value* payload = parsed->Find("payload");
+        payload != nullptr && parsed->StringOr("event", "") == "cell") {
+      state.cells[parsed->StringOr("binary", "")][parsed->StringOr("cell", "")] = *payload;
     }
   }
   if (first) {
@@ -503,38 +409,25 @@ json::Value InfoMetric(double value) {
   return entry;
 }
 
-// One binary's execution record, whether it ran as a child process or as an
-// engine job.
+// One forked binary's execution record.
 struct BinaryRun {
   CommandStatus status;
   int retries = 0;            // signal deaths retried (at most once)
   double runner_seconds = 0;  // host wall-clock around the child process
-  bool from_journal = false;  // completion taken from a resumed journal
   // Every attempt's report path; retries get stamped paths
   // (<name>.retry1.json) so no attempt ever overwrites another's output.
   std::vector<std::string> report_paths;
 };
 
-// Forks one bench binary the way the historical runner always has: journal
-// start/done events, per-attempt report paths, one retry after an organic
-// signal death. Used for every binary under --engine=fork, and for
-// bench_substrate (never a registered workload — it measures host time and
-// wants an unshared process) under --engine=inproc.
+// Forks one bench binary (bench_substrate — never a registered workload):
+// per-attempt report paths, one retry after an organic signal death.
 BinaryRun ExecuteForked(const SuiteEntry& entry, const Options& opts, uint64_t instructions,
-                        int inner_jobs, const fs::path& report_dir, Journal& journal,
-                        std::mutex& print_mutex) {
+                        const fs::path& report_dir) {
   const std::string name = entry.name;
   const fs::path binary = fs::path(opts.bench_dir) / name;
   const fs::path log_path = report_dir / (name + ".log");
-  {
-    std::lock_guard<std::mutex> lock(print_mutex);
-    std::printf("[bench_runner] %s ...\n", name.c_str());
-    std::fflush(stdout);
-  }
-  json::Value started = json::Value::Object();
-  started.Set("event", "start");
-  started.Set("binary", name);
-  journal.Append(started);
+  std::printf("[bench_runner] %s ...\n", name.c_str());
+  std::fflush(stdout);
 
   BinaryRun run;
   const auto start = std::chrono::steady_clock::now();
@@ -544,14 +437,8 @@ BinaryRun ExecuteForked(const SuiteEntry& entry, const Options& opts, uint64_t i
                           ? name + ".json"
                           : name + ".retry" + std::to_string(run.retries) + ".json");
     run.report_paths.push_back(report_path.string());
-    std::vector<std::string> args = {
-        binary.string(), "--json=" + report_path.string(),
-        "--instructions=" + std::to_string(instructions),
-        "--jobs=" + std::to_string(inner_jobs)};
-    if (opts.checkpoint_interval > 0) {
-      args.push_back("--checkpoint-dir=" + (report_dir / "checkpoints" / name).string());
-      args.push_back("--checkpoint-interval=" + std::to_string(opts.checkpoint_interval));
-    }
+    std::vector<std::string> args = {binary.string(), "--json=" + report_path.string(),
+                                     "--instructions=" + std::to_string(instructions)};
     if (opts.quick && entry.quick_extra[0] != '\0') {
       args.push_back(entry.quick_extra);
     }
@@ -559,7 +446,7 @@ BinaryRun ExecuteForked(const SuiteEntry& entry, const Options& opts, uint64_t i
     // salvaged as this attempt's output.
     std::error_code remove_ec;
     fs::remove(report_path, remove_ec);
-    run.status = RunProcess(args, opts.verbose ? "" : log_path.string(), opts.timeout_seconds);
+    run.status = RunProcess(args, log_path.string(), opts.timeout_seconds);
     // Signal deaths (SIGSEGV, OOM-kill, ...) get one retry after a
     // short backoff: transient host pressure is common in CI, and a
     // deterministic crash still fails identically on the retry.
@@ -569,34 +456,28 @@ BinaryRun ExecuteForked(const SuiteEntry& entry, const Options& opts, uint64_t i
       break;
     }
     ++run.retries;
-    {
-      std::lock_guard<std::mutex> lock(print_mutex);
-      std::printf("[bench_runner] %s %s; retrying once\n", name.c_str(),
-                  run.status.Describe().c_str());
-      std::fflush(stdout);
-    }
+    std::printf("[bench_runner] %s %s; retrying once\n", name.c_str(),
+                run.status.Describe().c_str());
+    std::fflush(stdout);
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
   }
   run.runner_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-
-  json::Value done = json::Value::Object();
-  done.Set("event", "done");
-  done.Set("binary", name);
-  done.Set("exit", run.status.spawn_failed ? -1 : run.status.exit_code);
-  if (run.status.signaled) {
-    done.Set("signal", run.status.signal);
-  }
-  done.Set("timed_out", run.status.timed_out);
-  done.Set("retries", run.retries);
-  done.Set("runner_seconds", run.runner_seconds);
-  json::Value reports = json::Value::Array();
-  for (const std::string& p : run.report_paths) {
-    reports.Append(p);
-  }
-  done.Set("reports", std::move(reports));
-  journal.Append(done);
   return run;
+}
+
+// Adds `source`'s metrics to the merged stream, refusing duplicates.
+void MergeMetrics(const std::string& name, const json::Value& source, json::Value& metrics,
+                  int& exit_code) {
+  for (const auto& [metric_name, metric] : source.members()) {
+    if (metrics.Find(metric_name) != nullptr) {
+      std::fprintf(stderr, "bench_runner: duplicate metric %s from %s\n", metric_name.c_str(),
+                   name.c_str());
+      exit_code = 1;
+      continue;
+    }
+    metrics.Set(metric_name, metric);
+  }
 }
 
 // Folds one forked binary's outcome into the merged document: the header
@@ -604,9 +485,7 @@ BinaryRun ExecuteForked(const SuiteEntry& entry, const Options& opts, uint64_t i
 // dead binary managed to write before it died.
 void MergeForkedRun(const std::string& name, const BinaryRun& run, const fs::path& report_dir,
                     json::Value& binaries, json::Value& metrics, int& exit_code) {
-  const fs::path report_path = run.report_paths.empty()
-                                   ? report_dir / (name + ".json")
-                                   : fs::path(run.report_paths.back());
+  const fs::path report_path = run.report_paths.back();
   const fs::path log_path = report_dir / (name + ".log");
   json::Value info = json::Value::Object();
   info.Set("exit", run.status.spawn_failed ? -1 : run.status.exit_code);
@@ -616,9 +495,6 @@ void MergeForkedRun(const std::string& name, const BinaryRun& run, const fs::pat
   info.Set("timed_out", run.status.timed_out);
   info.Set("retries", run.retries);
   info.Set("runner_seconds", run.runner_seconds);
-  if (run.from_journal) {
-    info.Set("resumed", true);
-  }
   // Every attempt's report path (retries write to stamped paths), so the
   // merged header records exactly which file each metric came from.
   json::Value report_list = json::Value::Array();
@@ -654,15 +530,54 @@ void MergeForkedRun(const std::string& name, const BinaryRun& run, const fs::pat
   binaries.Set(name, std::move(info));
   metrics.Set("runner/seconds/" + name, InfoMetric(run.runner_seconds));
   if (const json::Value* m = report->Find("metrics"); m != nullptr && m->is_object()) {
-    for (const auto& [metric_name, metric] : m->members()) {
-      if (metrics.Find(metric_name) != nullptr) {
-        std::fprintf(stderr, "bench_runner: duplicate metric %s from %s\n", metric_name.c_str(),
-                     name.c_str());
-        exit_code = 1;
-        continue;
-      }
-      metrics.Set(metric_name, metric);
-    }
+    MergeMetrics(name, *m, metrics, exit_code);
+  }
+}
+
+// Folds one engine job into the merged document, in the shape a standalone
+// `memsentry_cli run` report has: the workload's metric stream followed by
+// the host wall-clock trailer bench::Reporter::Finish appends (info /
+// host-perf kinds — never part of the determinism contract).
+void MergeJob(const eval::JobReport& job, const char* engine_name, json::Value& binaries,
+              json::Value& metrics, int& exit_code) {
+  const std::string& name = job.workload;
+  const size_t restored =
+      static_cast<size_t>(std::count(job.cell_restored.begin(), job.cell_restored.end(), true));
+  json::Value info = json::Value::Object();
+  info.Set("exit", job.status);
+  info.Set("timed_out", false);
+  info.Set("retries", 0);
+  info.Set("runner_seconds", job.wall_seconds);
+  info.Set("engine", engine_name);
+  info.Set("cells", static_cast<uint64_t>(job.cell_names.size()));
+  if (restored > 0) {
+    info.Set("cells_restored", static_cast<uint64_t>(restored));
+    info.Set("resumed", true);
+  }
+  info.Set("reports", json::Value::Array());
+  info.Set("wall_seconds", job.wall_seconds);
+  if (job.state != eval::JobState::kDone || job.status != 0) {
+    std::fprintf(stderr, "bench_runner: %s (%s) finished %s with status %d\n", name.c_str(),
+                 engine_name, eval::JobStateName(job.state), job.status);
+    exit_code = 1;
+  }
+  binaries.Set(name, std::move(info));
+  metrics.Set("runner/seconds/" + name, InfoMetric(job.wall_seconds));
+  MergeMetrics(name, job.report.metrics(), metrics, exit_code);
+  metrics.Set(name + "/wall_seconds", InfoMetric(job.wall_seconds));
+  if (job.report.sim_instructions() > 0 && job.wall_seconds > 0) {
+    json::Value throughput = json::Value::Object();
+    throughput.Set("value", job.report.sim_instructions() / job.wall_seconds);
+    throughput.Set("kind", "perf");
+    throughput.Set("tol", eval::kHostThroughputTol);
+    throughput.Set("host", true);
+    metrics.Set(name + "/sim_instr_per_second", std::move(throughput));
+  }
+  // Where the wall-clock went, at the engine's scheduling granularity.
+  // tools/ci/check_gate.sh wall-summary surfaces the slowest cells.
+  for (size_t c = 0; c < job.cell_names.size(); ++c) {
+    metrics.Set("engine/seconds/" + name + "/" + job.cell_names[c],
+                InfoMetric(job.cell_seconds[c]));
   }
 }
 
@@ -672,10 +587,9 @@ int Usage() {
                "                    [--bench-dir=DIR] [--baseline=PATH] [--no-gate]\n"
                "                    [--compare=RESULTS] [--write-baseline=PATH]\n"
                "                    [--instructions=N] [--jobs=N] [--timeout=SECONDS]\n"
-               "                    [--verbose] [--check-determinism=OTHER.json]\n"
-               "                    [--fastpath=on|off|check] [--journal=PATH]\n"
-               "                    [--resume] [--checkpoint-interval=N]\n"
-               "                    [--engine=inproc|fork|shard] [--workers=N]\n"
+               "                    [--check-determinism=OTHER.json]\n"
+               "                    [--fastpath=on|off|check] [--journal=PATH] [--resume]\n"
+               "                    [--engine=inproc|shard] [--workers=N]\n"
                "                    [--lease=SECONDS] [--chaos=SPEC] [--worker-cli=PATH]\n");
   return 2;
 }
@@ -692,16 +606,12 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
     };
     if (arg == "--quick") {
       opts.quick = true;
-    } else if (arg == "--verbose") {
-      opts.verbose = true;
     } else if (arg == "--no-gate") {
       opts.gate = false;
     } else if (arg == "--resume") {
       opts.resume = true;
     } else if (const char* v = value("--journal")) {
       opts.journal = v;
-    } else if (const char* v = value("--checkpoint-interval")) {
-      opts.checkpoint_interval = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("--only")) {
       opts.only = SplitCsv(v);
     } else if (const char* v = value("--skip")) {
@@ -743,17 +653,22 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
       return false;
     }
   }
+  if (opts.engine != "inproc" && opts.engine != "shard") {
+    std::fprintf(stderr, "bench_runner: bad --engine value '%s' (want inproc|shard)\n",
+                 opts.engine.c_str());
+    return false;
+  }
   return true;
 }
 
-// The bench binaries live next to this binary's parent: build/tools/../bench.
-std::string DefaultBenchDir(const char* argv0) {
+// This binary's directory, resolved through symlinks when possible.
+fs::path SelfDir(const char* argv0) {
   std::error_code ec;
   fs::path self = fs::canonical(fs::path(argv0), ec);
   if (ec) {
     self = fs::path(argv0);
   }
-  return (self.parent_path().parent_path() / "bench").string();
+  return self.parent_path();
 }
 
 const char* CompilerString() {
@@ -838,11 +753,6 @@ int Run(int argc, char** argv) {
   if (!ParseArgs(argc, argv, opts)) {
     return Usage();
   }
-  if (opts.engine != "inproc" && opts.engine != "fork" && opts.engine != "shard") {
-    std::fprintf(stderr, "bench_runner: bad --engine value '%s' (want inproc|fork|shard)\n",
-                 opts.engine.c_str());
-    return 2;
-  }
   if (!opts.fastpath.empty()) {
     base::FastPathMode mode;
     if (!base::ParseFastPathMode(opts.fastpath.c_str(), &mode)) {
@@ -850,18 +760,18 @@ int Run(int argc, char** argv) {
                    opts.fastpath.c_str());
       return 2;
     }
-#ifndef _WIN32
-    // Exported (not just set in-process): the bench binaries are child
-    // processes and pick the mode up from their own environment.
+    // Exported (not just set in-process): bench_substrate and the shard
+    // workers are child processes and pick the mode up from their own
+    // environment.
     ::setenv("MEMSENTRY_FASTPATH", base::FastPathModeName(mode), /*overwrite=*/1);
-#endif
     base::SetFastPathMode(mode);
   }
   const uint64_t instructions =
       opts.instructions != 0 ? opts.instructions
                              : (opts.quick ? kQuickInstructions : kFullInstructions);
   if (opts.bench_dir.empty()) {
-    opts.bench_dir = DefaultBenchDir(argv[0]);
+    // bench_substrate lives next to this binary's parent: build/tools/../bench.
+    opts.bench_dir = (SelfDir(argv[0]).parent_path() / "bench").string();
   }
   if (opts.baselines_dir.empty()) {
     opts.baselines_dir = std::string(MEMSENTRY_SOURCE_DIR) + "/bench/baselines";
@@ -908,6 +818,8 @@ int Run(int argc, char** argv) {
       }
     }
 
+    const bool shard = opts.engine == "shard";
+    const char* engine_name = opts.engine.c_str();
     merged.Set("schema", 1);
     merged.Set("suite", "memsentry-bench");
     merged.Set("mode", opts.quick ? "quick" : "full");
@@ -916,17 +828,10 @@ int Run(int argc, char** argv) {
     json::Value binaries = json::Value::Object();
     json::Value metrics = json::Value::Object();
 
-    // --verbose streams child stdout, which only exists with child
-    // processes, so it implies the fork engine.
-    const bool inproc = opts.engine == "inproc" && !opts.verbose;
-    const bool shard = opts.engine == "shard" && !opts.verbose;
-    const char* engine_name = inproc ? "inproc" : shard ? "shard" : "fork";
-
     // The suite journal. A fresh run writes a new header; --resume validates
     // the existing header against this invocation's configuration (merging
     // two differently-configured runs would silently gate garbage) and
-    // collects the binaries already journaled as done — plus, under the
-    // inproc engine, every cell already journaled with its payload.
+    // collects every cell already journaled with its payload.
     const std::string journal_path =
         opts.journal.empty() ? (fs::path(opts.out).parent_path() / "BENCH_JOURNAL.jsonl").string()
                              : opts.journal;
@@ -938,7 +843,6 @@ int Run(int argc, char** argv) {
     journal_header.Set("fastpath", opts.fastpath.empty() ? "default" : opts.fastpath);
     journal_header.Set("engine", engine_name);
     journal_header.Set("out", opts.out);
-    std::map<std::string, json::Value> journaled_done;
     std::map<std::string, std::map<std::string, json::Value>> journal_cells;
     bool resuming = false;
     if (opts.resume) {
@@ -954,7 +858,6 @@ int Run(int argc, char** argv) {
                      journal_header.Dump(0).c_str());
         return 2;
       } else {
-        journaled_done = std::move(previous->done);
         journal_cells = std::move(previous->cells);
         journal.Continue(std::move(previous->raw));
         resuming = true;
@@ -963,17 +866,16 @@ int Run(int argc, char** argv) {
     if (!resuming) {
       journal.Start(journal_header);
     }
-#ifndef _WIN32
-    // The crash handler in each bench binary snapshots the journal tail into
-    // its bundles.
+    // bench_substrate's crash handler snapshots the journal tail into its
+    // bundles.
     std::error_code abs_ec;
     const fs::path abs_journal = fs::absolute(journal_path, abs_ec);
     ::setenv("MEMSENTRY_JOURNAL", (abs_ec ? fs::path(journal_path) : abs_journal).c_str(),
              /*overwrite=*/1);
-#endif
 
-    // Select the binaries to run; missing ones are reported up front so a
-    // half-built tree fails fast instead of mid-suite.
+    // Select the entries to run. Only forked entries need a binary on disk;
+    // a missing one is reported up front so a half-built tree fails fast
+    // instead of mid-suite.
     std::vector<const SuiteEntry*> to_run;
     for (const SuiteEntry& entry : kSuite) {
       const std::string name = entry.name;
@@ -983,7 +885,8 @@ int Run(int argc, char** argv) {
       if (Contains(opts.skip, name)) {
         continue;
       }
-      if (!fs::exists(fs::path(opts.bench_dir) / name)) {
+      if (suite::FindSuiteWorkload(name) == nullptr &&
+          !fs::exists(fs::path(opts.bench_dir) / name)) {
         std::fprintf(stderr, "bench_runner: missing binary %s (build the bench targets)\n",
                      (fs::path(opts.bench_dir) / name).c_str());
         exit_code = 1;
@@ -992,200 +895,42 @@ int Run(int argc, char** argv) {
       to_run.push_back(&entry);
     }
 
-    // The parallelism budget. Under --engine=inproc the whole budget goes to
-    // the engine's work-stealing pool (cell granularity beats binary
-    // granularity, so there is no slot split) and forked stragglers run
-    // serially alongside it. Under --engine=fork it splits between
-    // scheduling binaries concurrently (bounded job slots) and each binary's
-    // own sweep fan-out: with more binaries than budget every binary runs
-    // its sweeps serially; a lone binary (--only=fig3_address) gets the
-    // whole budget for its cells. --verbose streams child stdout, so it
-    // forces a fully serial fork run.
-    const int total_jobs = opts.verbose ? 1 : ResolveJobs(opts.jobs);
-    const int slots = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(total_jobs), std::max<size_t>(to_run.size(), 1)));
-    const int inner_jobs = inproc ? 1 : std::max(1, total_jobs / slots);
+    // Cell-granular durability, shared by both engines: journaled payloads
+    // mark their cells done at submit time, and every finished cell's
+    // payload is appended (Journal::Append serializes), so a kill -9
+    // mid-suite costs at most the cells that were in flight.
+    const auto restore = [&journal_cells](const std::string& workload,
+                                          const std::string& cell) -> const json::Value* {
+      const auto wit = journal_cells.find(workload);
+      if (wit == journal_cells.end()) {
+        return nullptr;
+      }
+      const auto cit = wit->second.find(cell);
+      return cit == wit->second.end() ? nullptr : &cit->second;
+    };
+    const auto on_cell_done = [&journal](const std::string& workload, const std::string& cell,
+                                         const json::Value& payload) {
+      json::Value event = json::Value::Object();
+      event.Set("event", "cell");
+      event.Set("binary", workload);
+      event.Set("cell", cell);
+      event.Set("payload", payload);
+      journal.Append(event);
+    };
 
-    // Resumable completions: journaled as done with a clean exit and a
-    // parseable final report still on disk. Anything else (in-flight at the
-    // kill, crashed, report missing) re-runs.
-    std::map<std::string, BinaryRun> resumable;
-    for (const auto& [name, event] : journaled_done) {
-      BinaryRun run;
-      run.from_journal = true;
-      const int exit = static_cast<int>(event.NumberOr("exit", -1));
-      run.status.spawn_failed = exit < 0;
-      run.status.exit_code = exit < 0 ? 0 : exit;
-      if (const json::Value* sig = event.Find("signal"); sig != nullptr) {
-        run.status.signaled = true;
-        run.status.signal = static_cast<int>(sig->number_value());
-      }
-      run.status.timed_out = event.BoolOr("timed_out", false);
-      run.retries = static_cast<int>(event.NumberOr("retries", 0));
-      run.runner_seconds = event.NumberOr("runner_seconds", 0.0);
-      if (const json::Value* reports = event.Find("reports");
-          reports != nullptr && reports->is_array()) {
-        for (const json::Value& p : reports->items()) {
-          run.report_paths.push_back(p.string_value());
-        }
-      }
-      if (run.status.ok() && !run.report_paths.empty() &&
-          json::ParseFile(run.report_paths.back()).ok()) {
-        resumable.emplace(name, std::move(run));
-      }
-    }
-
-    std::mutex print_mutex;
-    const auto suite_start = std::chrono::steady_clock::now();
-    std::vector<BinaryRun> runs(to_run.size());
-    // Per-entry engine results (nullptr = the entry was forked). The engine
-    // object must outlive these pointers, hence the optional below.
-    std::vector<const eval::JobReport*> engine_reports(to_run.size(), nullptr);
-    eval::EngineStats engine_stats;
-    sim::DecodeCacheStats decode_stats;
-    int engine_workers = 0;
+    const int total_jobs = ResolveJobs(opts.jobs);
     std::unique_ptr<eval::CampaignEngine> engine;
-    // Shard engine state: the coordinator must outlive engine_reports (its
-    // JobReports back them), exactly like `engine` above.
     std::unique_ptr<eval::ShardCoordinator> coordinator;
-    eval::CoordinatorStats coordinator_stats;
-
-    if (inproc) {
-      eval::EngineOptions engine_options;
-      // Escape hatch for memo bisection: MEMSENTRY_NO_RUN_MEMO=1 runs every
-      // cell from scratch. Results must not change (the determinism check
-      // passes either way) — only the wall-clock does.
-      engine_options.run_memo = std::getenv("MEMSENTRY_NO_RUN_MEMO") == nullptr;
-      engine_options.jobs = total_jobs;
-      // Cell-granular durability: every finished cell's payload is journaled
-      // (Journal::Append serializes), and on --resume the journaled payloads
-      // mark their cells done at submit time — a kill -9 mid-suite costs at
-      // most the cells that were in flight.
-      engine_options.restore = [&journal_cells](
-                                   const std::string& workload,
-                                   const std::string& cell) -> const json::Value* {
-        const auto wit = journal_cells.find(workload);
-        if (wit == journal_cells.end()) {
-          return nullptr;
-        }
-        const auto cit = wit->second.find(cell);
-        return cit == wit->second.end() ? nullptr : &cit->second;
-      };
-      engine_options.on_cell_done = [&journal](const std::string& workload,
-                                               const std::string& cell,
-                                               const json::Value& payload) {
-        json::Value event = json::Value::Object();
-        event.Set("event", "cell");
-        event.Set("binary", workload);
-        event.Set("cell", cell);
-        event.Set("payload", payload);
-        journal.Append(event);
-      };
-      // Engine-wide decode statistics start from zero so the merged report's
-      // engine/decode_cache_* metrics describe exactly this suite run.
-      sim::DecodeCache::Global().ResetStats();
-      engine = std::make_unique<eval::CampaignEngine>(&suite::SuiteRegistry(), engine_options);
-      engine_workers = engine->jobs();
-
-      // Submit every registered workload up front: the engine interleaves
-      // all of their cells across its workers, so a straggler workload soaks
-      // up the whole pool instead of serializing behind a slot schedule.
-      std::vector<uint64_t> job_ids(to_run.size(), 0);
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        const SuiteEntry& entry = *to_run[i];
-        if (suite::FindSuiteWorkload(entry.name) == nullptr) {
-          continue;  // forked below, concurrently with the engine's drain
-        }
-        eval::WorkloadOptions woptions;
-        woptions.experiment.target_instructions = instructions;
-        if (opts.checkpoint_interval > 0) {
-          woptions.experiment.checkpoint_dir =
-              (report_dir / "checkpoints" / entry.name).string();
-          std::error_code checkpoint_ec;
-          fs::create_directories(woptions.experiment.checkpoint_dir, checkpoint_ec);
-          woptions.experiment.checkpoint_interval = opts.checkpoint_interval;
-        }
-        if (opts.quick && entry.quick_extra[0] != '\0') {
-          // The same token the forked binary would receive on its argv.
-          const char* extra_argv[] = {"bench_runner", entry.quick_extra};
-          eval::ParseWorkloadArgs(2, const_cast<char**>(extra_argv), woptions);
-        }
-        {
-          std::lock_guard<std::mutex> lock(print_mutex);
-          std::printf("[bench_runner] %s (engine) ...\n", entry.name);
-          std::fflush(stdout);
-        }
-        json::Value started = json::Value::Object();
-        started.Set("event", "start");
-        started.Set("binary", entry.name);
-        journal.Append(started);
-        job_ids[i] = engine->Submit(entry.name, woptions);
-      }
-
-      // bench_substrate (and anything else unregistered) forks on this
-      // thread while the engine's workers chew through the cell queues.
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        if (job_ids[i] != 0) {
-          continue;
-        }
-        const std::string name = to_run[i]->name;
-        if (const auto it = resumable.find(name); it != resumable.end()) {
-          std::printf("[bench_runner] %s (done; resumed from journal)\n", name.c_str());
-          std::fflush(stdout);
-          runs[i] = it->second;
-          continue;
-        }
-        runs[i] = ExecuteForked(*to_run[i], opts, instructions, inner_jobs, report_dir,
-                                journal, print_mutex);
-      }
-
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        if (job_ids[i] == 0) {
-          continue;
-        }
-        const eval::JobReport* job = engine->Wait(job_ids[i]);
-        engine_reports[i] = job;
-        size_t restored = 0;
-        for (size_t c = 0; c < job->cell_restored.size(); ++c) {
-          restored += job->cell_restored[c] ? 1 : 0;
-        }
-        {
-          std::lock_guard<std::mutex> lock(print_mutex);
-          std::printf("[bench_runner] %s done: %zu cells (%zu restored) in %.2fs\n",
-                      job->workload.c_str(), job->cell_names.size(), restored,
-                      job->wall_seconds);
-          std::fflush(stdout);
-        }
-        json::Value done = json::Value::Object();
-        done.Set("event", "done");
-        done.Set("binary", job->workload);
-        done.Set("exit", job->status);
-        done.Set("timed_out", false);
-        done.Set("retries", 0);
-        done.Set("runner_seconds", job->wall_seconds);
-        done.Set("cells", static_cast<uint64_t>(job->cell_names.size()));
-        done.Set("reports", json::Value::Array());
-        journal.Append(done);
-      }
-      engine_stats = engine->stats();
-      decode_stats = sim::DecodeCache::Global().stats();
-    } else if (shard) {
+    if (shard) {
       eval::CoordinatorOptions coptions;
       coptions.workers = opts.workers;
       coptions.lease_seconds = opts.lease_seconds;
       coptions.socket_dir = (report_dir / "coordinator").string();
       // Workers are the memsentry_cli sibling of this binary unless
       // overridden (tests point --worker-cli at the build tree).
-      if (!opts.worker_cli.empty()) {
-        coptions.worker_cli = opts.worker_cli;
-      } else {
-        std::error_code self_ec;
-        fs::path self = fs::canonical(fs::path(argv[0]), self_ec);
-        if (self_ec) {
-          self = fs::path(argv[0]);
-        }
-        coptions.worker_cli = (self.parent_path() / "memsentry_cli").string();
-      }
+      coptions.worker_cli = !opts.worker_cli.empty()
+                                ? opts.worker_cli
+                                : (SelfDir(argv[0]) / "memsentry_cli").string();
       if (!opts.chaos.empty()) {
         auto chaos = eval::ParseChaosSpec(opts.chaos);
         if (!chaos.ok()) {
@@ -1195,123 +940,75 @@ int Run(int argc, char** argv) {
         }
         coptions.chaos = *chaos;
       }
-      // The same cell-granular durability hooks the inproc engine wires up:
-      // restored cells skip dispatch entirely, completed cells journal their
-      // payloads (the coordinator calls back from its own thread only).
-      coptions.restore = [&journal_cells](const std::string& workload,
-                                          const std::string& cell) -> const json::Value* {
-        const auto wit = journal_cells.find(workload);
-        if (wit == journal_cells.end()) {
-          return nullptr;
-        }
-        const auto cit = wit->second.find(cell);
-        return cit == wit->second.end() ? nullptr : &cit->second;
-      };
-      coptions.on_cell_done = [&journal](const std::string& workload, const std::string& cell,
-                                         const json::Value& payload) {
-        json::Value event = json::Value::Object();
-        event.Set("event", "cell");
-        event.Set("binary", workload);
-        event.Set("cell", cell);
-        event.Set("payload", payload);
-        journal.Append(event);
-      };
+      coptions.restore = restore;
+      coptions.on_cell_done = on_cell_done;
       coordinator = std::make_unique<eval::ShardCoordinator>(&suite::SuiteRegistry(), coptions);
-
-      // Submit every registered workload; mid-cell checkpointing is not
-      // forwarded over the wire (workers build cells from the recipe alone),
-      // so --checkpoint-interval is an inproc/fork-only feature.
-      std::vector<size_t> shard_index(to_run.size(), static_cast<size_t>(-1));
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        const SuiteEntry& entry = *to_run[i];
-        if (suite::FindSuiteWorkload(entry.name) == nullptr) {
-          continue;  // forked below, concurrently with the coordinator's drain
-        }
-        // Identical option construction to the inproc branch (note: quick
-        // mode flows through the instruction budget and quick_extra argv,
-        // not WorkloadOptions::quick) — any divergence here breaks the
-        // bit-identity contract between engines.
-        eval::WorkloadOptions woptions;
-        woptions.experiment.target_instructions = instructions;
-        if (opts.quick && entry.quick_extra[0] != '\0') {
-          const char* extra_argv[] = {"bench_runner", entry.quick_extra};
-          eval::ParseWorkloadArgs(2, const_cast<char**>(extra_argv), woptions);
-        }
-        {
-          std::lock_guard<std::mutex> lock(print_mutex);
-          std::printf("[bench_runner] %s (shard) ...\n", entry.name);
-          std::fflush(stdout);
-        }
-        json::Value started = json::Value::Object();
-        started.Set("event", "start");
-        started.Set("binary", entry.name);
-        journal.Append(started);
-        const uint64_t id = coordinator->Submit(entry.name, woptions);
-        if (id != 0) {
-          shard_index[i] = static_cast<size_t>(id - 1);
-        }
-      }
-
-      // Drive the fleet on its own thread while unregistered binaries
-      // (bench_substrate) fork on this one.
-      std::thread coordinator_thread([&coordinator] { (void)coordinator->Run(); });
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        if (shard_index[i] != static_cast<size_t>(-1)) {
-          continue;
-        }
-        const std::string name = to_run[i]->name;
-        if (const auto it = resumable.find(name); it != resumable.end()) {
-          std::printf("[bench_runner] %s (done; resumed from journal)\n", name.c_str());
-          std::fflush(stdout);
-          runs[i] = it->second;
-          continue;
-        }
-        runs[i] = ExecuteForked(*to_run[i], opts, instructions, inner_jobs, report_dir,
-                                journal, print_mutex);
-      }
-      coordinator_thread.join();
-      coordinator_stats = coordinator->stats();
-
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        if (shard_index[i] == static_cast<size_t>(-1)) {
-          continue;
-        }
-        const eval::JobReport* job = coordinator->reports()[shard_index[i]].get();
-        engine_reports[i] = job;
-        size_t restored = 0;
-        for (size_t c = 0; c < job->cell_restored.size(); ++c) {
-          restored += job->cell_restored[c] ? 1 : 0;
-        }
-        {
-          std::lock_guard<std::mutex> lock(print_mutex);
-          std::printf("[bench_runner] %s done: %zu cells (%zu restored) in %.2fs\n",
-                      job->workload.c_str(), job->cell_names.size(), restored,
-                      job->wall_seconds);
-          std::fflush(stdout);
-        }
-        json::Value done = json::Value::Object();
-        done.Set("event", "done");
-        done.Set("binary", job->workload);
-        done.Set("exit", job->status);
-        done.Set("timed_out", false);
-        done.Set("retries", 0);
-        done.Set("runner_seconds", job->wall_seconds);
-        done.Set("cells", static_cast<uint64_t>(job->cell_names.size()));
-        done.Set("reports", json::Value::Array());
-        journal.Append(done);
-      }
     } else {
-      runs = ParallelMap(slots, to_run.size(), [&](size_t i) -> BinaryRun {
-        const SuiteEntry& entry = *to_run[i];
-        if (const auto it = resumable.find(entry.name); it != resumable.end()) {
-          std::lock_guard<std::mutex> lock(print_mutex);
-          std::printf("[bench_runner] %s (done; resumed from journal)\n", entry.name);
-          std::fflush(stdout);
-          return it->second;
-        }
-        return ExecuteForked(entry, opts, instructions, inner_jobs, report_dir, journal,
-                             print_mutex);
-      });
+      eval::EngineOptions engine_options;
+      // Escape hatch for memo bisection: MEMSENTRY_NO_RUN_MEMO=1 runs every
+      // cell from scratch. Results must not change (the determinism check
+      // passes either way) — only the wall-clock does.
+      engine_options.run_memo = std::getenv("MEMSENTRY_NO_RUN_MEMO") == nullptr;
+      engine_options.jobs = total_jobs;
+      engine_options.restore = restore;
+      engine_options.on_cell_done = on_cell_done;
+      // Engine-wide decode statistics start from zero so the merged report's
+      // engine/decode_cache_* metrics describe exactly this suite run.
+      sim::DecodeCache::Global().ResetStats();
+      engine = std::make_unique<eval::CampaignEngine>(&suite::SuiteRegistry(), engine_options);
+    }
+
+    const auto suite_start = std::chrono::steady_clock::now();
+    // Submit every registered workload up front: the engine interleaves all
+    // of their cells across its workers, so a straggler workload soaks up
+    // the whole pool. job_ids[i] == 0 marks a forked entry.
+    std::vector<uint64_t> job_ids(to_run.size(), 0);
+    for (size_t i = 0; i < to_run.size(); ++i) {
+      const SuiteEntry& entry = *to_run[i];
+      if (suite::FindSuiteWorkload(entry.name) == nullptr) {
+        continue;
+      }
+      eval::WorkloadOptions woptions;
+      woptions.experiment.target_instructions = instructions;
+      if (opts.quick && entry.quick_extra[0] != '\0') {
+        // The same token `memsentry_cli run` would receive on its argv.
+        const char* extra_argv[] = {"bench_runner", entry.quick_extra};
+        eval::ParseWorkloadArgs(2, const_cast<char**>(extra_argv), woptions);
+      }
+      std::printf("[bench_runner] %s (%s) ...\n", entry.name, engine_name);
+      std::fflush(stdout);
+      job_ids[i] = shard ? coordinator->Submit(entry.name, woptions)
+                         : engine->Submit(entry.name, woptions);
+    }
+
+    // Forked entries run on this thread while the engine's workers (or the
+    // coordinator's fleet, driven from its own thread) chew through the
+    // cell queues.
+    std::thread drive;
+    if (shard) {
+      drive = std::thread([&coordinator] { (void)coordinator->Run(); });
+    }
+    std::vector<BinaryRun> runs(to_run.size());
+    for (size_t i = 0; i < to_run.size(); ++i) {
+      if (job_ids[i] == 0) {
+        runs[i] = ExecuteForked(*to_run[i], opts, instructions, report_dir);
+      }
+    }
+    if (drive.joinable()) {
+      drive.join();
+    }
+    std::vector<const eval::JobReport*> jobs(to_run.size(), nullptr);
+    for (size_t i = 0; i < to_run.size(); ++i) {
+      if (job_ids[i] == 0) {
+        continue;
+      }
+      jobs[i] = shard ? coordinator->reports()[job_ids[i] - 1].get() : engine->Wait(job_ids[i]);
+      std::printf("[bench_runner] %s done: %zu cells (%zu restored) in %.2fs\n",
+                  jobs[i]->workload.c_str(), jobs[i]->cell_names.size(),
+                  static_cast<size_t>(std::count(jobs[i]->cell_restored.begin(),
+                                                 jobs[i]->cell_restored.end(), true)),
+                  jobs[i]->wall_seconds);
+      std::fflush(stdout);
     }
     const double suite_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - suite_start).count();
@@ -1319,177 +1016,95 @@ int Run(int argc, char** argv) {
     // Merge serially in suite order, so the merged document (and any error
     // output) is identical no matter how the parallel schedule interleaved.
     for (size_t i = 0; i < to_run.size(); ++i) {
-      const std::string name = to_run[i]->name;
-      if (engine_reports[i] == nullptr) {
-        MergeForkedRun(name, runs[i], report_dir, binaries, metrics, exit_code);
-        continue;
-      }
-      const eval::JobReport& job = *engine_reports[i];
-      size_t restored = 0;
-      for (size_t c = 0; c < job.cell_restored.size(); ++c) {
-        restored += job.cell_restored[c] ? 1 : 0;
-      }
-      json::Value info = json::Value::Object();
-      info.Set("exit", job.status);
-      info.Set("timed_out", false);
-      info.Set("retries", 0);
-      info.Set("runner_seconds", job.wall_seconds);
-      info.Set("engine", engine_name);
-      info.Set("cells", static_cast<uint64_t>(job.cell_names.size()));
-      if (restored > 0) {
-        info.Set("cells_restored", static_cast<uint64_t>(restored));
-        info.Set("resumed", true);
-      }
-      info.Set("reports", json::Value::Array());
-      info.Set("wall_seconds", job.wall_seconds);
-      if (job.state != eval::JobState::kDone || job.status != 0) {
-        std::fprintf(stderr, "bench_runner: %s (engine) finished %s with status %d\n",
-                     name.c_str(), eval::JobStateName(job.state), job.status);
-        exit_code = 1;
-      }
-      binaries.Set(name, std::move(info));
-      metrics.Set("runner/seconds/" + name, InfoMetric(job.wall_seconds));
-      for (const auto& [metric_name, metric] : job.report.metrics().members()) {
-        if (metrics.Find(metric_name) != nullptr) {
-          std::fprintf(stderr, "bench_runner: duplicate metric %s from %s\n",
-                       metric_name.c_str(), name.c_str());
-          exit_code = 1;
-          continue;
-        }
-        metrics.Set(metric_name, metric);
-      }
-      // The trailer bench::Reporter::Finish appends after a standalone run's
-      // metric stream, so the merged document keeps the same shape in both
-      // engines (both are host wall-clock derived, info / host-perf kinds —
-      // never part of the determinism contract).
-      metrics.Set(name + "/wall_seconds", InfoMetric(job.wall_seconds));
-      if (job.report.sim_instructions() > 0 && job.wall_seconds > 0) {
-        json::Value throughput = json::Value::Object();
-        throughput.Set("value", job.report.sim_instructions() / job.wall_seconds);
-        throughput.Set("kind", "perf");
-        throughput.Set("tol", eval::kHostThroughputTol);
-        throughput.Set("host", true);
-        metrics.Set(name + "/sim_instr_per_second", std::move(throughput));
+      if (jobs[i] != nullptr) {
+        MergeJob(*jobs[i], engine_name, binaries, metrics, exit_code);
+      } else {
+        MergeForkedRun(to_run[i]->name, runs[i], report_dir, binaries, metrics, exit_code);
       }
     }
-    if (inproc || shard) {
-      // Where the suite's wall-clock actually went, at the engine's
-      // scheduling granularity. tools/ci/check_gate.sh wall-summary surfaces
-      // the slowest cells from these; all info-kind, never gated.
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        if (engine_reports[i] == nullptr) {
-          continue;
-        }
-        const eval::JobReport& job = *engine_reports[i];
-        for (size_t c = 0; c < job.cell_names.size(); ++c) {
-          metrics.Set("engine/seconds/" + job.workload + "/" + job.cell_names[c],
-                      InfoMetric(job.cell_seconds[c]));
-        }
-      }
-    }
+
+    // Which engine produced the document, plus its aggregates: the
+    // coordinator's failure traffic, or the inproc engine's work-stealing
+    // traffic and shared decode cache efficacy across every workload. All
+    // info-kind: the counters are host-timing-dependent (a loaded machine
+    // expires leases chaos never touched), so none participate in gating or
+    // the determinism check.
+    json::Value engine_header = json::Value::Object();
+    engine_header.Set("engine", engine_name);
     if (shard) {
-      // The coordinator's failure traffic. All info-kind: every counter is
-      // host-timing-dependent (a loaded machine expires leases chaos never
-      // touched), so none participate in gating or the determinism check —
-      // the fidelity/perf stream above is what stays bit-identical.
-      metrics.Set("coordinator/cells_total",
-                  InfoMetric(static_cast<double>(coordinator_stats.cells_total)));
-      metrics.Set("coordinator/cells_dispatched",
-                  InfoMetric(static_cast<double>(coordinator_stats.cells_dispatched)));
-      metrics.Set("coordinator/cells_redispatched",
-                  InfoMetric(static_cast<double>(coordinator_stats.cells_redispatched)));
-      metrics.Set("coordinator/cells_inlined",
-                  InfoMetric(static_cast<double>(coordinator_stats.cells_inlined)));
-      metrics.Set("coordinator/lease_expiries",
-                  InfoMetric(static_cast<double>(coordinator_stats.lease_expiries)));
-      metrics.Set("coordinator/garbled_replies",
-                  InfoMetric(static_cast<double>(coordinator_stats.garbled_replies)));
-      metrics.Set("coordinator/connect_retries",
-                  InfoMetric(static_cast<double>(coordinator_stats.connect_retries)));
-      metrics.Set("coordinator/workers_respawned",
-                  InfoMetric(static_cast<double>(coordinator_stats.workers_respawned)));
-      metrics.Set("coordinator/workers_quarantined",
-                  InfoMetric(static_cast<double>(coordinator_stats.workers_quarantined)));
-      metrics.Set("coordinator/degraded",
-                  InfoMetric(coordinator_stats.degraded ? 1.0 : 0.0));
-    }
-    if (inproc) {
-      metrics.Set("engine/cells_run", InfoMetric(static_cast<double>(engine_stats.cells_run)));
-      metrics.Set("engine/cells_restored",
-                  InfoMetric(static_cast<double>(engine_stats.cells_restored)));
-      metrics.Set("engine/steals", InfoMetric(static_cast<double>(engine_stats.steals)));
-      metrics.Set("engine/decode_cache_hit_rate", InfoMetric(decode_stats.HitRate()));
+      const eval::CoordinatorStats& stats = coordinator->stats();
+      const std::pair<const char*, uint64_t> counters[] = {
+          {"cells_total", stats.cells_total},
+          {"cells_dispatched", stats.cells_dispatched},
+          {"cells_redispatched", stats.cells_redispatched},
+          {"cells_inlined", stats.cells_inlined},
+          {"lease_expiries", stats.lease_expiries},
+          {"garbled_replies", stats.garbled_replies},
+          {"connect_retries", stats.connect_retries},
+          {"workers_respawned", stats.workers_respawned},
+          {"workers_quarantined", stats.workers_quarantined},
+          {"degraded", stats.degraded ? 1u : 0u},
+      };
+      for (const auto& [key, value] : counters) {
+        metrics.Set(std::string("coordinator/") + key, InfoMetric(static_cast<double>(value)));
+      }
+      engine_header.Set("workers", opts.workers);
+      engine_header.Set("lease_seconds", opts.lease_seconds);
+      engine_header.Set("chaos", opts.chaos);
+      engine_header.Set("cells_restored", stats.cells_restored);
+      engine_header.Set("cells_redispatched", stats.cells_redispatched);
+      engine_header.Set("workers_quarantined", stats.workers_quarantined);
+      engine_header.Set("degraded", stats.degraded);
+      std::printf(
+          "[bench_runner] suite wall-clock %.2fs (engine=shard, workers=%d, cells=%llu "
+          "[%llu redispatched, %llu inlined, %llu restored], lease expiries=%llu, "
+          "garbled=%llu, quarantined=%llu, degraded=%d)\n",
+          suite_seconds, opts.workers, static_cast<unsigned long long>(stats.cells_total),
+          static_cast<unsigned long long>(stats.cells_redispatched),
+          static_cast<unsigned long long>(stats.cells_inlined),
+          static_cast<unsigned long long>(stats.cells_restored),
+          static_cast<unsigned long long>(stats.lease_expiries),
+          static_cast<unsigned long long>(stats.garbled_replies),
+          static_cast<unsigned long long>(stats.workers_quarantined), stats.degraded ? 1 : 0);
+    } else {
+      const eval::EngineStats stats = engine->stats();
+      const sim::DecodeCacheStats decode = sim::DecodeCache::Global().stats();
+      const eval::RunMemo::Stats memo = eval::RunMemo::Global().stats();
+      metrics.Set("engine/cells_run", InfoMetric(static_cast<double>(stats.cells_run)));
+      metrics.Set("engine/cells_restored", InfoMetric(static_cast<double>(stats.cells_restored)));
+      metrics.Set("engine/steals", InfoMetric(static_cast<double>(stats.steals)));
+      metrics.Set("engine/decode_cache_hit_rate", InfoMetric(decode.HitRate()));
       metrics.Set("engine/decode_cache_lowerings",
-                  InfoMetric(static_cast<double>(decode_stats.misses)));
-      const eval::RunMemo::Stats memo_stats = eval::RunMemo::Global().stats();
-      metrics.Set("engine/run_memo_hit_rate", InfoMetric(memo_stats.HitRate()));
-      metrics.Set("engine/run_memo_hits", InfoMetric(static_cast<double>(memo_stats.hits)));
+                  InfoMetric(static_cast<double>(decode.misses)));
+      metrics.Set("engine/run_memo_hit_rate", InfoMetric(memo.HitRate()));
+      metrics.Set("engine/run_memo_hits", InfoMetric(static_cast<double>(memo.hits)));
+      engine_header.Set("jobs", engine->jobs());
+      engine_header.Set("cells_run", stats.cells_run);
+      engine_header.Set("cells_restored", stats.cells_restored);
+      engine_header.Set("steals", stats.steals);
+      engine_header.Set("decode_cache_hit_rate", decode.HitRate());
+      engine_header.Set("decode_cache_lowerings", decode.misses);
+      std::printf(
+          "[bench_runner] suite wall-clock %.2fs (engine=inproc, workers=%d, cells=%llu "
+          "run + %llu restored, steals=%llu, decode-cache hit rate %.3f)\n",
+          suite_seconds, engine->jobs(), static_cast<unsigned long long>(stats.cells_run),
+          static_cast<unsigned long long>(stats.cells_restored),
+          static_cast<unsigned long long>(stats.steals), decode.HitRate());
     }
     // The wall-clock trajectory of the suite itself: info metrics, recorded
     // in every snapshot but never gated (they are host-dependent).
     metrics.Set("runner/wall_seconds", InfoMetric(suite_seconds));
     metrics.Set("runner/jobs", InfoMetric(total_jobs));
-
-    // Which engine produced the document, plus — inproc — the engine-wide
-    // aggregates (work-stealing traffic and the shared decode cache's
-    // efficacy across every workload in this one warm process).
-    json::Value engine_header = json::Value::Object();
-    engine_header.Set("engine", engine_name);
-    if (inproc) {
-      engine_header.Set("jobs", engine_workers);
-      engine_header.Set("cells_run", engine_stats.cells_run);
-      engine_header.Set("cells_restored", engine_stats.cells_restored);
-      engine_header.Set("steals", engine_stats.steals);
-      engine_header.Set("decode_cache_hit_rate", decode_stats.HitRate());
-      engine_header.Set("decode_cache_lowerings", decode_stats.misses);
-    }
-    if (shard) {
-      engine_header.Set("workers", opts.workers);
-      engine_header.Set("lease_seconds", opts.lease_seconds);
-      engine_header.Set("chaos", opts.chaos);
-      engine_header.Set("cells_restored", coordinator_stats.cells_restored);
-      engine_header.Set("cells_redispatched", coordinator_stats.cells_redispatched);
-      engine_header.Set("workers_quarantined", coordinator_stats.workers_quarantined);
-      engine_header.Set("degraded", coordinator_stats.degraded);
-    }
     merged.Set("engine", std::move(engine_header));
 
     // Host metadata, so future baseline snapshots are attributable.
     json::Value host = json::Value::Object();
     host.Set("jobs", total_jobs);
-    host.Set("inner_jobs", inner_jobs);
     host.Set("hardware_concurrency", HardwareJobs());
     host.Set("compiler", CompilerString());
     merged.Set("host", std::move(host));
     merged.Set("binaries", std::move(binaries));
     merged.Set("metrics", std::move(metrics));
-    if (inproc) {
-      std::printf(
-          "[bench_runner] suite wall-clock %.2fs (engine=inproc, workers=%d, cells=%llu "
-          "run + %llu restored, steals=%llu, decode-cache hit rate %.3f)\n",
-          suite_seconds, engine_workers,
-          static_cast<unsigned long long>(engine_stats.cells_run),
-          static_cast<unsigned long long>(engine_stats.cells_restored),
-          static_cast<unsigned long long>(engine_stats.steals), decode_stats.HitRate());
-    } else if (shard) {
-      std::printf(
-          "[bench_runner] suite wall-clock %.2fs (engine=shard, workers=%d, cells=%llu "
-          "[%llu redispatched, %llu inlined, %llu restored], lease expiries=%llu, "
-          "garbled=%llu, quarantined=%llu, degraded=%d)\n",
-          suite_seconds, opts.workers,
-          static_cast<unsigned long long>(coordinator_stats.cells_total),
-          static_cast<unsigned long long>(coordinator_stats.cells_redispatched),
-          static_cast<unsigned long long>(coordinator_stats.cells_inlined),
-          static_cast<unsigned long long>(coordinator_stats.cells_restored),
-          static_cast<unsigned long long>(coordinator_stats.lease_expiries),
-          static_cast<unsigned long long>(coordinator_stats.garbled_replies),
-          static_cast<unsigned long long>(coordinator_stats.workers_quarantined),
-          coordinator_stats.degraded ? 1 : 0);
-    } else {
-      std::printf(
-          "[bench_runner] suite wall-clock %.2fs (engine=fork, jobs=%d, per-binary jobs=%d)\n",
-          suite_seconds, total_jobs, inner_jobs);
-    }
 
     if (Status s = json::WriteFileAtomic(opts.out, merged); !s.ok()) {
       std::fprintf(stderr, "bench_runner: %s\n", s.ToString().c_str());

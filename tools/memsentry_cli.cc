@@ -1,6 +1,8 @@
 // memsentry — command-line front end for the framework.
 //
-//   memsentry figure 3|4|5|6 [--instructions N] [--jobs N]   reproduce a figure
+//   memsentry run <workload> [--json=PATH] [--instructions=N] [--jobs=N] [args]
+//                                        one suite workload (fig4_callret,
+//                                        fault_matrix, ...), tables printed
 //   memsentry attack [--region-bytes N]           run the attack matrix
 //   memsentry advise --events F --bytes N [--year Y] [--mpk] [--no-hypervisor]
 //   memsentry dump --benchmark 403.gcc --technique mpx [--defense shadowstack]
@@ -27,16 +29,15 @@
 #include <cstring>
 #include <string>
 
-#include "src/eval/coordinator.h"
-
+#include "bench/bench_util.h"
 #include "src/attacks/campaign_gen.h"
 #include "src/attacks/harness.h"
 #include "src/base/json.h"
 #include "src/core/advisor.h"
 #include "src/core/memsentry.h"
 #include "src/defenses/shadow_stack.h"
+#include "src/eval/coordinator.h"
 #include "src/eval/fault_campaign.h"
-#include "src/eval/figures.h"
 #include "src/eval/serve.h"
 #include "src/ir/printer.h"
 #include "src/suite/workloads.h"
@@ -47,8 +48,13 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: memsentry_cli <figure N | attack | advise | dump> [options]\n"
-               "  figure 3|4|5|6 [--instructions N] [--jobs N]\n"
+               "usage: memsentry_cli <run | attack | advise | dump | ...> [options]\n"
+               "  run WORKLOAD [--json=PATH] [--instructions=N] [--jobs=N] [workload args]\n"
+               "                      one registered suite workload (fig3_address ...\n"
+               "                      microarch_stats), its tables printed; workload args:\n"
+               "                      --quick --seed=N --campaigns=N --policy=off\n"
+               "                      --skip-audit --step-budget=N --allow-escapes\n"
+               "                      --force-crash=TECHNIQUE/SITE --bundle-root=DIR\n"
                "  attack [--region-bytes N]\n"
                "  advise [--events F] [--bytes N] [--year Y] [--mpk] [--no-hypervisor]\n"
                "  dump [--benchmark NAME] [--technique sfi|mpx|mpk|vmfunc|crypt|sgx|mprotect]\n"
@@ -91,51 +97,34 @@ bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-void PrintSeries(const std::vector<eval::FigureSeries>& series) {
-  std::printf("%-16s", "benchmark");
-  for (const auto& s : series) {
-    std::printf("%10s", s.config.c_str());
-  }
-  std::printf("\n");
-  const auto profiles = workloads::SpecCpu2006();
-  for (size_t b = 0; b < profiles.size(); ++b) {
-    std::printf("%-16s", profiles[b].name.c_str());
-    for (const auto& s : series) {
-      std::printf("%10.2f", s.normalized[b]);
-    }
-    std::printf("\n");
-  }
-  std::printf("%-16s", "geomean");
-  for (const auto& s : series) {
-    std::printf("%10.3f", s.geomean);
-  }
-  std::printf("\n");
-}
-
-int RunFigure(int argc, char** argv) {
+// `run <workload>` — one registered suite workload, standalone: cells fanned
+// over --jobs (serial where crash contexts demand it), the workload's own
+// tables printed, crash bundles staged, and the metric stream bench_runner
+// merges written to --json=PATH.
+int RunWorkload(int argc, char** argv) {
   if (argc < 1) {
     return Usage();
   }
-  eval::ExperimentOptions options;
-  options.target_instructions =
-      std::strtoull(Arg(argc, argv, "--instructions", "400000"), nullptr, 10);
-  options.jobs = std::atoi(Arg(argc, argv, "--jobs", "0"));
-  switch (std::atoi(argv[0])) {
-    case 3:
-      PrintSeries(eval::RunFigure3(options));
-      return 0;
-    case 4:
-      PrintSeries(eval::RunFigure4(options));
-      return 0;
-    case 5:
-      PrintSeries(eval::RunFigure5(options));
-      return 0;
-    case 6:
-      PrintSeries(eval::RunFigure6(options));
-      return 0;
-    default:
-      return Usage();
+  const eval::Workload* workload = suite::FindSuiteWorkload(argv[0]);
+  if (workload == nullptr) {
+    std::fprintf(stderr, "run: not a registered suite workload: %s\n", argv[0]);
+    return 2;
   }
+  eval::WorkloadOptions options;
+  for (const std::string& arg : eval::ParseWorkloadArgs(argc, argv, options)) {
+    if (!bench::Reporter::OwnsFlag(arg)) {
+      std::fprintf(stderr, "run: unrecognised argument: %s\n", arg.c_str());
+      return Usage();
+    }
+  }
+  bench::Reporter reporter(workload->name, argc, argv);
+  options.experiment = reporter.Options();
+  options.print = true;
+  options.crash_contexts = true;
+  options.extra["config_json"] = reporter.ConfigJson();
+  const int status = eval::RunWorkloadStandalone(*workload, options, reporter.builder());
+  const int finish = reporter.Finish();
+  return status != 0 ? status : finish;
 }
 
 int RunAttack(int argc, char** argv) {
@@ -543,8 +532,8 @@ int main(int argc, char** argv) {
     return Usage();
   }
   const std::string command = argv[1];
-  if (command == "figure") {
-    return RunFigure(argc - 2, argv + 2);
+  if (command == "run") {
+    return RunWorkload(argc - 2, argv + 2);
   }
   if (command == "attack") {
     return RunAttack(argc - 2, argv + 2);
