@@ -93,6 +93,8 @@ struct CampaignEngine::Job {
   bool cancelled = false;
   bool cell_failed = false;
   std::chrono::steady_clock::time_point start;
+  // OnJobDone callbacks still waiting (guarded by engine mutex).
+  std::vector<std::function<void(const JobReport&)>> on_done;
 };
 
 CampaignEngine::CampaignEngine(const WorkloadRegistry* registry, EngineOptions options)
@@ -169,8 +171,7 @@ uint64_t CampaignEngine::Submit(const std::string& workload_name,
       finished = true;
     } else {
       for (const size_t cell : pending) {
-        queues_[next_queue_ % queues_.size()].push_back(Task{job, cell});
-        ++next_queue_;
+        Enqueue(Task{job, cell, nullptr});
       }
     }
   }
@@ -180,6 +181,19 @@ uint64_t CampaignEngine::Submit(const std::string& workload_name,
     work_ready_.notify_all();
   }
   return job->id;
+}
+
+void CampaignEngine::Enqueue(Task task) {
+  queues_[next_queue_ % queues_.size()].push_back(std::move(task));
+  ++next_queue_;
+}
+
+void CampaignEngine::Post(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    Enqueue(Task{nullptr, 0, std::move(task)});
+  }
+  work_ready_.notify_one();
 }
 
 bool CampaignEngine::PopTask(size_t worker, Task& task) {
@@ -196,7 +210,9 @@ bool CampaignEngine::PopTask(size_t worker, Task& task) {
     if (!victim.empty()) {
       task = std::move(victim.back());
       victim.pop_back();
-      ++stats_.steals;
+      if (task.job != nullptr) {
+        ++stats_.steals;
+      }
       return true;
     }
   }
@@ -226,7 +242,11 @@ void CampaignEngine::WorkerLoop(size_t worker) {
         continue;
       }
     }
-    RunCell(task);
+    if (task.job != nullptr) {
+      RunCell(task);
+    } else {
+      task.posted();
+    }
   }
 }
 
@@ -290,8 +310,10 @@ void CampaignEngine::FinishJob(const std::shared_ptr<Job>& job) {
   if (!cancelled && !failed) {
     status = job->workload->assemble(job->options, job->payloads, job->report.report);
   }
+  std::vector<std::function<void(const JobReport&)>> on_done;
   {
     std::lock_guard<std::mutex> lock(mutex_);
+    on_done.swap(job->on_done);
     job->report.status = failed ? 1 : (cancelled ? 0 : status);
     job->report.state = cancelled  ? JobState::kCancelled
                         : failed   ? JobState::kFailed
@@ -300,6 +322,11 @@ void CampaignEngine::FinishJob(const std::shared_ptr<Job>& job) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - job->start).count();
   }
   job_done_.notify_all();
+  // The report is final once the state is terminal; callbacks read it
+  // without the lock.
+  for (const auto& done : on_done) {
+    done(job->report);
+  }
 }
 
 json::Value CampaignEngine::StatusLocked(const Job& job) const {
@@ -357,6 +384,24 @@ const JobReport* CampaignEngine::Wait(uint64_t job_id) {
            job->report.state == JobState::kCancelled;
   });
   return &job->report;
+}
+
+bool CampaignEngine::OnJobDone(uint64_t job_id, std::function<void(const JobReport&)> done) {
+  std::shared_ptr<Job> job;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = jobs_by_id_.find(job_id);
+    if (it == jobs_by_id_.end()) {
+      return false;
+    }
+    job = it->second;
+    if (job->report.state == JobState::kQueued || job->report.state == JobState::kRunning) {
+      job->on_done.push_back(std::move(done));
+      return true;
+    }
+  }
+  done(job->report);
+  return true;
 }
 
 void CampaignEngine::WaitAll() {

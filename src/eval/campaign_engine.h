@@ -171,18 +171,33 @@ class CampaignEngine {
   const JobReport* Wait(uint64_t job_id);
   void WaitAll();
 
+  // The non-blocking Wait: calls `done` once the job reaches a terminal
+  // state — at once on the calling thread if it already has, otherwise on
+  // the worker that finishes it. Returns false, without calling, for an
+  // unknown id.
+  bool OnJobDone(uint64_t job_id, std::function<void(const JobReport&)> done);
+
+  // Runs `task` on one of the workers, queued and stolen like a cell, so
+  // ad-hoc work (the serve daemon's run_cell) shares the --jobs budget with
+  // submitted jobs. `task` must not throw. The destructor drains posted
+  // tasks along with cells.
+  void Post(std::function<void()> task);
+
   EngineStats stats() const;
   int jobs() const { return jobs_; }
 
  private:
   struct Job;
+  // A job's cell, or a posted task when `job` is null.
   struct Task {
     std::shared_ptr<Job> job;
     size_t cell = 0;
+    std::function<void()> posted;
   };
 
   void WorkerLoop(size_t worker);
   bool PopTask(size_t worker, Task& task);  // mutex_ held
+  void Enqueue(Task task);                  // mutex_ held
   void RunCell(const Task& task);
   void FinishJob(const std::shared_ptr<Job>& job);
   json::Value StatusLocked(const Job& job) const;  // mutex_ held
@@ -198,7 +213,7 @@ class CampaignEngine {
   std::vector<std::deque<Task>> queues_;  // one per worker
   std::map<uint64_t, std::shared_ptr<Job>> jobs_by_id_;
   uint64_t next_job_id_ = 1;
-  size_t next_queue_ = 0;  // round-robin cell distribution cursor
+  size_t next_queue_ = 0;  // round-robin task distribution cursor
   bool stopping_ = false;
   EngineStats stats_;
 };

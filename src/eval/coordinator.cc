@@ -32,26 +32,6 @@ double MonotonicSeconds() {
       .count();
 }
 
-// Client-side framing twin of serve.cc's SendLine: MSG_NOSIGNAL so a worker
-// dying mid-exchange surfaces as EPIPE, not SIGPIPE.
-bool SendFrame(int fd, const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
-  size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t n =
-        ::send(fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
 }  // namespace
 
 struct ShardCoordinator::JobRec {
@@ -74,7 +54,7 @@ struct ShardCoordinator::WorkerSlot {
   int fd = -1;
   std::string socket_path;
   std::string log_path;
-  std::string rxbuf;
+  LineBuffer rx;
   int spawns = 0;
   int connect_tries = 0;
   double backoff = kConnectBackoffStart;
@@ -161,7 +141,7 @@ void ShardCoordinator::SpawnWorker(WorkerSlot& worker) {
   worker.socket_path = options_.socket_dir + "/worker-" + std::to_string(worker.index) + "." +
                        std::to_string(worker.spawns) + ".sock";
   worker.log_path = options_.socket_dir + "/worker-" + std::to_string(worker.index) + ".log";
-  worker.rxbuf.clear();
+  worker.rx.Clear();
   worker.connect_tries = 0;
   worker.backoff = kConnectBackoffStart;
   worker.next_connect_at = now + kConnectBackoffStart;
@@ -210,7 +190,7 @@ void ShardCoordinator::ShutdownWorker(WorkerSlot& worker, bool graceful) {
     if (graceful) {
       json::Value request = json::Value::Object();
       request.Set("cmd", "shutdown");
-      (void)SendFrame(worker.fd, request.Dump());
+      (void)SendLine(worker.fd, request.Dump());
     }
     ::close(worker.fd);
     worker.fd = -1;
@@ -244,12 +224,12 @@ bool ShardCoordinator::TryConnect(WorkerSlot& worker) {
   }
   json::Value ping = json::Value::Object();
   ping.Set("cmd", "ping");
-  if (!SendFrame(fd, ping.Dump())) {
+  if (!SendLine(fd, ping.Dump()).ok()) {
     ::close(fd);
     return false;
   }
   worker.fd = fd;
-  worker.rxbuf.clear();
+  worker.rx.Clear();
   worker.state = WorkerSlot::State::kPingWait;
   worker.deadline = Now() + options_.lease_seconds;
   return true;
@@ -277,7 +257,7 @@ void ShardCoordinator::DispatchCell(WorkerSlot& worker, CellRef cell) {
   }
   request.Set("extra", std::move(extra));
   request.Set("attempt", static_cast<uint64_t>(cell.attempts));
-  if (!SendFrame(worker.fd, request.Dump())) {
+  if (!SendLine(worker.fd, request.Dump()).ok()) {
     WorkerFailed(worker, "send failed", /*respawn=*/true);
   }
 }
@@ -297,7 +277,7 @@ void ShardCoordinator::WorkerFailed(WorkerSlot& worker, const char* why, bool re
     ::close(worker.fd);
     worker.fd = -1;
   }
-  worker.rxbuf.clear();
+  worker.rx.Clear();
   ++worker.consecutive_failures;
   if (worker.consecutive_failures >= options_.quarantine_after) {
     ShutdownWorker(worker, /*graceful=*/false);
@@ -462,15 +442,14 @@ void ShardCoordinator::PollWorkers(double timeout_seconds) {
       WorkerFailed(worker, "connection lost", /*respawn=*/true);
       continue;
     }
-    worker.rxbuf.append(chunk, static_cast<size_t>(n));
-    if (worker.rxbuf.size() > kServeMaxLineBytes) {
-      WorkerFailed(worker, "oversized reply", /*respawn=*/true);
-      continue;
-    }
-    size_t newline;
-    while (worker.fd >= 0 && (newline = worker.rxbuf.find('\n')) != std::string::npos) {
-      const std::string frame = worker.rxbuf.substr(0, newline);
-      worker.rxbuf.erase(0, newline + 1);
+    worker.rx.Append(chunk, static_cast<size_t>(n));
+    std::string frame;
+    LineBuffer::Next next;
+    while (worker.fd >= 0 && (next = worker.rx.Pop(&frame)) != LineBuffer::Next::kPartial) {
+      if (next == LineBuffer::Next::kOversized) {
+        WorkerFailed(worker, "oversized reply", /*respawn=*/true);
+        break;
+      }
       HandleFrame(worker, frame);
     }
   }

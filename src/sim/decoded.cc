@@ -158,6 +158,31 @@ ResolvedCost StaticCost(const ir::Instr& instr, const machine::CostModel& cost,
   return {0, 0, false};
 }
 
+// Whether the reference interpreter stops inside the block; where it would
+// fetch past the end instead, decode plants a guard µop.
+bool EndsInTerminator(const std::vector<ir::Instr>& instrs) {
+  return !instrs.empty() &&
+         (instrs.back().IsTerminator() || instrs.back().op == ir::Opcode::kTrap);
+}
+
+// Exact µop and RegOp counts for a function, so decode allocates each array
+// once at its final size. Most instructions fuse into RegOps; reserving one
+// Uop per instruction left that slack resident in every cached decode.
+void CountUops(const ir::Function& function, size_t* uops, size_t* regops) {
+  *uops = 0;
+  *regops = 0;
+  for (const ir::BasicBlock& block : function.blocks) {
+    bool in_run = false;
+    for (const ir::Instr& instr : block.instrs) {
+      const bool fusible = Fusible(instr.op);
+      *regops += fusible ? 1 : 0;
+      *uops += (fusible && in_run) ? 0 : 1;
+      in_run = fusible;
+    }
+    *uops += EndsInTerminator(block.instrs) ? 0 : 1;
+  }
+}
+
 [[noreturn]] void DecodeDivergence(const char* what, int func, int32_t block, int32_t index) {
   std::fprintf(stderr, "memsentry: decode fast-path divergence: %s (f%d b%d i%d)\n", what, func,
                block, index);
@@ -180,10 +205,12 @@ std::shared_ptr<const DecodedModule> DecodedModule::Build(const ir::Module& modu
   for (const ir::Function& function : module.functions) {
     DecodedFunction df;
     const size_t num_blocks = function.blocks.size();
-    // Upper bounds: every instruction its own µop plus one guard per block.
     const size_t instr_count = function.InstrCount();
-    df.uops.reserve(instr_count + num_blocks);
-    df.regops.reserve(instr_count);
+    size_t uop_count = 0;
+    size_t regop_count = 0;
+    CountUops(function, &uop_count, &regop_count);
+    df.uops.reserve(uop_count);
+    df.regops.reserve(regop_count);
     df.block_head.resize(num_blocks);
     df.instr_base.resize(num_blocks);
     df.instr_slots.resize(instr_count);
@@ -254,9 +281,7 @@ std::shared_ptr<const DecodedModule> DecodedModule::Build(const ir::Module& modu
       // Where the reference interpreter would fetch past a block's last
       // instruction (unterminated blocks in unverified modules), plant a
       // guard µop that reproduces its #GP.
-      const bool terminated =
-          !instrs.empty() && (instrs.back().IsTerminator() || instrs.back().op == ir::Opcode::kTrap);
-      if (!terminated) {
+      if (!EndsInTerminator(instrs)) {
         Uop guard;  // non-fused kNop == guard by convention
         guard.block = static_cast<int32_t>(b);
         guard.index = static_cast<int32_t>(instrs.size());

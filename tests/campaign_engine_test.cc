@@ -7,6 +7,8 @@
 //    standalone `memsentry_cli run` reports at any --jobs, which reject
 //    arguments they do not recognise;
 //  - a kill -9 mid-suite plus --resume converges to the clean-run report;
+//  - Post() runs ad-hoc tasks concurrently on the workers, and OnJobDone()
+//    fires once with the final report;
 //  - `serve` round-trips submit/status/wait/cancel/shutdown over its socket.
 #include <string>
 #include <vector>
@@ -21,6 +23,8 @@
 
 #if !defined(_WIN32)
 
+#include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -37,6 +41,12 @@
 
 namespace memsentry {
 namespace {
+
+eval::EngineOptions Workers(int jobs) {
+  eval::EngineOptions options;
+  options.jobs = jobs;
+  return options;
+}
 
 eval::WorkloadOptions QuickOptions() {
   eval::WorkloadOptions options;
@@ -168,6 +178,66 @@ TEST(CampaignEngine, UnknownIdsAndCancelSemantics) {
   const json::Value status = engine.JobStatus(id);
   EXPECT_EQ(status.StringOr("state", ""), "done");
   EXPECT_EQ(status.NumberOr("cells_done", -1), status.NumberOr("cells_total", -2));
+}
+
+// Post() runs ad-hoc tasks on the engine's workers, concurrently: two tasks
+// that each wait for the other can only both finish if they overlap.
+TEST(CampaignEngine, PostedTasksRunConcurrentlyOnWorkers) {
+  std::mutex mutex;
+  std::condition_variable arrived;
+  std::condition_variable all_done;
+  int present = 0;
+  int met = 0;
+  int finished = 0;
+  // Declared last: its destructor drains the tasks before their state goes.
+  eval::CampaignEngine engine(&suite::SuiteRegistry(), Workers(2));
+  const auto rendezvous = [&] {
+    std::unique_lock<std::mutex> lock(mutex);
+    ++present;
+    arrived.notify_all();
+    if (arrived.wait_for(lock, std::chrono::seconds(10), [&] { return present == 2; })) {
+      ++met;
+    }
+    ++finished;
+    all_done.notify_all();
+  };
+  engine.Post(rendezvous);
+  engine.Post(rendezvous);
+  std::unique_lock<std::mutex> lock(mutex);
+  ASSERT_TRUE(all_done.wait_for(lock, std::chrono::seconds(30), [&] { return finished == 2; }));
+  EXPECT_EQ(met, 2);
+  // Posted tasks are not cells.
+  EXPECT_EQ(engine.stats().cells_run, 0u);
+}
+
+// OnJobDone is the non-blocking Wait: it fires exactly once with the final
+// report — from the finishing worker, or at once for a finished job — and
+// refuses unknown ids.
+TEST(CampaignEngine, OnJobDoneFiresOnceWithTheFinalReport) {
+  std::mutex mutex;
+  std::condition_variable fired_cv;
+  std::vector<std::string> fired;  // state names, in callback order
+  eval::CampaignEngine engine(&suite::SuiteRegistry(), Workers(2));
+  EXPECT_FALSE(engine.OnJobDone(999, [](const eval::JobReport&) { FAIL(); }));
+
+  const uint64_t id = engine.Submit("fault_matrix", QuickOptions());
+  ASSERT_NE(id, 0u);
+  ASSERT_TRUE(engine.OnJobDone(id, [&](const eval::JobReport& report) {
+    std::lock_guard<std::mutex> lock(mutex);
+    fired.push_back(eval::JobStateName(report.state));
+    fired_cv.notify_all();
+  }));
+  const eval::JobReport* report = engine.Wait(id);
+  ASSERT_NE(report, nullptr);
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(fired_cv.wait_for(lock, std::chrono::seconds(30), [&] { return !fired.empty(); }));
+    EXPECT_EQ(fired, std::vector<std::string>{"done"});
+  }
+
+  const eval::JobReport* seen = nullptr;
+  ASSERT_TRUE(engine.OnJobDone(id, [&](const eval::JobReport& r) { seen = &r; }));
+  EXPECT_EQ(seen, report) << "a finished job's callback runs before OnJobDone returns";
 }
 
 // `memsentry_cli serve` protocol: a resident engine behind a UNIX socket.

@@ -15,6 +15,8 @@
 #include "src/sim/decode_cache.h"
 #include "src/sim/executor.h"
 #include "src/sim/process.h"
+#include "src/workloads/spec_profiles.h"
+#include "src/workloads/synth.h"
 
 namespace memsentry::sim {
 namespace {
@@ -199,6 +201,25 @@ TEST_F(DecodeCacheTest, ExecutorRevalidatesWithoutRelowering) {
   m.Touch();
   (void)executor.Run({});  // stale: must re-lower under the new content key
   EXPECT_EQ(DecodeCache::Global().stats().misses, after_first.misses + 1);
+}
+
+// Decode allocates each µop array at its exact final size: cached decodes
+// stay resident, so reserved-but-unused capacity would be held for the
+// cache's lifetime.
+TEST_F(DecodeCacheTest, DecodedArraysCarryNoSlack) {
+  workloads::SynthOptions synth;
+  synth.target_instructions = 20'000;
+  const Module m = workloads::SynthesizeSpecProgram(*workloads::FindProfile("445.gobmk"), synth);
+  const auto decoded = DecodedModule::Build(m, process_);
+  size_t uops = 0;
+  size_t regops = 0;
+  for (const DecodedFunction& f : decoded->functions) {
+    EXPECT_EQ(f.uops.capacity(), f.uops.size());
+    EXPECT_EQ(f.regops.capacity(), f.regops.size());
+    uops += f.uops.size();
+    regops += f.regops.size();
+  }
+  EXPECT_GT(regops, uops) << "most instructions should fuse into RegOps";
 }
 
 }  // namespace
