@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the substrates themselves (host-side
 // performance of the simulator, not simulated cycles): page walks, TLB,
-// cache tags, AES, EPT translation, executor throughput.
+// cache tags, AES, physical-memory lookups, EPT translation, executor
+// throughput.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -48,6 +49,40 @@ void BM_AesEncryptBlock(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AesEncryptBlock);
+
+// The crypt technique expands one schedule per region key and the server
+// workload one per handshake.
+void BM_AesExpandKey(benchmark::State& state) {
+  aes::Block key{1, 2, 3, 4};
+  for (auto _ : state) {
+    const aes::KeySchedule keys = aes::ExpandKey(key);
+    key = keys[aes::kNumRounds];
+    benchmark::DoNotOptimize(key);
+  }
+}
+BENCHMARK(BM_AesExpandKey);
+
+// One 64-bit physical read per iteration, striding over 20k materialized
+// frames: the access pattern of a 10k-tenant server, where every tenant's
+// scratch and secret pages are touched in ASID order and no small set of
+// frames stays hot.
+void BM_PhysMemScatteredRead64(benchmark::State& state) {
+  constexpr uint64_t kFrames = 20'000;
+  constexpr uint64_t kStride = 7'919;  // prime: visits every frame once per cycle
+  machine::PhysicalMemory pmem(1 << 16);
+  for (uint64_t f = 1; f <= kFrames; ++f) {
+    pmem.Write64((f << kPageShift) + 8, f);
+  }
+  uint64_t f = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pmem.Read64((f << kPageShift) + 8));
+    f += kStride;
+    if (f > kFrames) {
+      f -= kFrames;
+    }
+  }
+}
+BENCHMARK(BM_PhysMemScatteredRead64);
 
 void BM_EptTranslate(benchmark::State& state) {
   machine::PhysicalMemory pmem(1 << 16);

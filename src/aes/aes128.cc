@@ -1,5 +1,6 @@
 #include "src/aes/aes128.h"
 
+#include <bit>
 #include <cstring>
 
 namespace memsentry::aes {
@@ -22,15 +23,17 @@ uint8_t Gmul(uint8_t a, uint8_t b) {
 
 // The S-box is computed (inverse in GF(2^8) + affine transform) rather than
 // transcribed; tests pin the known values S(0x00)=0x63, S(0x53)=0xed. The
-// round tables compose the S-box with the MixColumns constants so a round is
-// pure table lookups and xors — the byte-wise Gmul formulation this replaces
-// spent an 8-iteration bit loop per GF multiply on the region-crypt hot path.
+// encryption T-tables compose SubBytes with a MixColumns column: te0[x] holds
+// the column ({2},{1},{1},{3})·S(x) packed little-endian (row r in bits
+// 8r..8r+7) and te1..te3 are its byte rotations, so a whole encryption round
+// is sixteen 32-bit lookups and xors on four column words.
 struct SboxTables {
   uint8_t sbox[256];
   uint8_t inv_sbox[256];
-  // Encrypt round: {2,3}·S(x) (the 1·S(x) contributions read sbox directly).
-  uint8_t enc2[256];
-  uint8_t enc3[256];
+  uint32_t te0[256];
+  uint32_t te1[256];
+  uint32_t te2[256];
+  uint32_t te3[256];
   // Decrypt round: {14,11,13,9}·S⁻¹(x).
   uint8_t dec14[256];
   uint8_t dec11[256];
@@ -61,7 +64,7 @@ struct SboxTables {
             ((inv >> i) ^ (inv >> ((i + 4) & 7)) ^ (inv >> ((i + 5) & 7)) ^
              (inv >> ((i + 6) & 7)) ^ (inv >> ((i + 7) & 7))) &
             1);
-      s = static_cast<uint8_t>(s ^ (bit << i));
+        s = static_cast<uint8_t>(s ^ (bit << i));
       }
       // s started as the affine constant 0x63; the loop xored in the rotated
       // bits, so s now holds the full affine transform of inv.
@@ -70,8 +73,11 @@ struct SboxTables {
     }
     for (int x = 0; x < 256; ++x) {
       const uint8_t b = static_cast<uint8_t>(x);
-      enc2[x] = Gmul(sbox[x], 2);
-      enc3[x] = Gmul(sbox[x], 3);
+      const uint32_t s = sbox[x];
+      te0[x] = Gmul(sbox[x], 2) | (s << 8) | (s << 16) | (uint32_t{Gmul(sbox[x], 3)} << 24);
+      te1[x] = std::rotl(te0[x], 8);
+      te2[x] = std::rotl(te0[x], 16);
+      te3[x] = std::rotl(te0[x], 24);
       dec14[x] = Gmul(inv_sbox[x], 14);
       dec11[x] = Gmul(inv_sbox[x], 11);
       dec13[x] = Gmul(inv_sbox[x], 13);
@@ -134,26 +140,98 @@ Block Xor(const Block& a, const Block& b) {
   return out;
 }
 
+// Column words: byte r of column c (FIPS-197 index r + 4c) sits in bits
+// 8r..8r+7 of word c, independent of host byte order.
+using Words = std::array<uint32_t, 4>;
+
+uint32_t LoadWord(const uint8_t* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    uint32_t w;
+    std::memcpy(&w, p, sizeof(w));
+    return w;
+  }
+  return uint32_t{p[0]} | (uint32_t{p[1]} << 8) | (uint32_t{p[2]} << 16) | (uint32_t{p[3]} << 24);
+}
+
+void StoreWord(uint32_t w, uint8_t* p) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &w, sizeof(w));
+    return;
+  }
+  p[0] = static_cast<uint8_t>(w);
+  p[1] = static_cast<uint8_t>(w >> 8);
+  p[2] = static_cast<uint8_t>(w >> 16);
+  p[3] = static_cast<uint8_t>(w >> 24);
+}
+
+Words LoadWords(const Block& b) {
+  return {LoadWord(&b[0]), LoadWord(&b[4]), LoadWord(&b[8]), LoadWord(&b[12])};
+}
+
+Block StoreWords(const Words& w) {
+  Block b;
+  for (int c = 0; c < 4; ++c) {
+    StoreWord(w[c], &b[4 * c]);
+  }
+  return b;
+}
+
+// SubBytes → ShiftRows → MixColumns → AddRoundKey on column words: column c
+// of the shifted state takes row r from column (c + r) mod 4, and the te
+// tables fold the S-box into the MixColumns constants.
+inline Words RoundWords(const SboxTables& t, const Words& in, const RoundKey& key) {
+  const auto column = [&](int c) {
+    return t.te0[in[c] & 0xff] ^ t.te1[(in[(c + 1) & 3] >> 8) & 0xff] ^
+           t.te2[(in[(c + 2) & 3] >> 16) & 0xff] ^ t.te3[in[(c + 3) & 3] >> 24] ^
+           LoadWord(&key[4 * c]);
+  };
+  return {column(0), column(1), column(2), column(3)};
+}
+
+// The final round: SubBytes → ShiftRows → AddRoundKey, no MixColumns.
+inline Words LastRoundWords(const SboxTables& t, const Words& in, const RoundKey& key) {
+  const auto column = [&](int c) {
+    return (uint32_t{t.sbox[in[c] & 0xff]} | (uint32_t{t.sbox[(in[(c + 1) & 3] >> 8) & 0xff]} << 8) |
+            (uint32_t{t.sbox[(in[(c + 2) & 3] >> 16) & 0xff]} << 16) |
+            (uint32_t{t.sbox[in[(c + 3) & 3] >> 24]} << 24)) ^
+           LoadWord(&key[4 * c]);
+  };
+  return {column(0), column(1), column(2), column(3)};
+}
+
 }  // namespace
 
 KeySchedule ExpandKey(const Block& key) {
+  const uint8_t* sbox = Tables().sbox;
   KeySchedule keys;
   keys[0] = key;
+  uint32_t w0 = LoadWord(&key[0]);
+  uint32_t w1 = LoadWord(&key[4]);
+  uint32_t w2 = LoadWord(&key[8]);
+  uint32_t w3 = LoadWord(&key[12]);
   uint8_t rcon = 0x01;
   for (int round = 1; round < kNumRoundKeys; ++round) {
-    const RoundKey& prev = keys[round - 1];
-    RoundKey& out = keys[round];
-    // RotWord + SubWord + Rcon on the previous last word.
-    uint8_t t[4] = {Tables().sbox[prev[13]], Tables().sbox[prev[14]], Tables().sbox[prev[15]],
-                    Tables().sbox[prev[12]]};
-    t[0] ^= rcon;
+    // RotWord + SubWord + Rcon on the previous last word; RotWord moves byte
+    // 0 to byte 3, a right rotation of the little-endian column word.
+    const uint32_t rot = std::rotr(w3, 8);
+    const uint32_t t =
+        (uint32_t{sbox[rot & 0xff]} | (uint32_t{sbox[(rot >> 8) & 0xff]} << 8) |
+         (uint32_t{sbox[(rot >> 16) & 0xff]} << 16) | (uint32_t{sbox[rot >> 24]} << 24)) ^
+        rcon;
     rcon = Xtime(rcon);
-    for (int i = 0; i < 4; ++i) {
-      out[i] = static_cast<uint8_t>(prev[i] ^ t[i]);
-    }
-    for (int i = 4; i < kBlockSize; ++i) {
-      out[i] = static_cast<uint8_t>(prev[i] ^ out[i - 4]);
-    }
+    // Word i of the new key is t xor words 0..i of the previous one; the
+    // prefix xors do not wait for t, so only one xor follows the S-box.
+    const uint32_t p1 = w0 ^ w1;
+    const uint32_t p2 = p1 ^ w2;
+    const uint32_t p3 = p2 ^ w3;
+    w0 ^= t;
+    w1 = p1 ^ t;
+    w2 = p2 ^ t;
+    w3 = p3 ^ t;
+    StoreWord(w0, &keys[round][0]);
+    StoreWord(w1, &keys[round][4]);
+    StoreWord(w2, &keys[round][8]);
+    StoreWord(w3, &keys[round][12]);
   }
   return keys;
 }
@@ -166,38 +244,12 @@ KeySchedule InverseKeySchedule(const KeySchedule& enc) {
   return dec;
 }
 
-// SubBytes → ShiftRows → MixColumns → AddRoundKey, fully composed: column c
-// of the shifted state is (in[0+4c], in[1+4(c+1)], in[2+4(c+2)], in[3+4(c+3)])
-// and the enc2/enc3 tables fold the S-box into the MixColumns constants.
 Block EncryptRound(const Block& state, const RoundKey& key) {
-  const SboxTables& t = Tables();
-  Block out;
-  for (int c = 0; c < 4; ++c) {
-    const uint8_t a0 = state[0 + 4 * c];
-    const uint8_t a1 = state[1 + 4 * ((c + 1) & 3)];
-    const uint8_t a2 = state[2 + 4 * ((c + 2) & 3)];
-    const uint8_t a3 = state[3 + 4 * ((c + 3) & 3)];
-    out[4 * c + 0] =
-        static_cast<uint8_t>(t.enc2[a0] ^ t.enc3[a1] ^ t.sbox[a2] ^ t.sbox[a3] ^ key[4 * c + 0]);
-    out[4 * c + 1] =
-        static_cast<uint8_t>(t.sbox[a0] ^ t.enc2[a1] ^ t.enc3[a2] ^ t.sbox[a3] ^ key[4 * c + 1]);
-    out[4 * c + 2] =
-        static_cast<uint8_t>(t.sbox[a0] ^ t.sbox[a1] ^ t.enc2[a2] ^ t.enc3[a3] ^ key[4 * c + 2]);
-    out[4 * c + 3] =
-        static_cast<uint8_t>(t.enc3[a0] ^ t.sbox[a1] ^ t.sbox[a2] ^ t.enc2[a3] ^ key[4 * c + 3]);
-  }
-  return out;
+  return StoreWords(RoundWords(Tables(), LoadWords(state), key));
 }
 
 Block EncryptLastRound(const Block& state, const RoundKey& key) {
-  const SboxTables& t = Tables();
-  Block out;
-  for (int c = 0; c < 4; ++c) {
-    for (int r = 0; r < 4; ++r) {
-      out[r + 4 * c] = static_cast<uint8_t>(t.sbox[state[r + 4 * ((c + r) & 3)]] ^ key[r + 4 * c]);
-    }
-  }
-  return out;
+  return StoreWords(LastRoundWords(Tables(), LoadWords(state), key));
 }
 
 // Equivalent inverse cipher (aesdec): expects an InvMixColumns'd round key.
@@ -229,11 +281,15 @@ Block DecryptLastRound(const Block& state, const RoundKey& key) {
 Block InvMixColumnsBlock(const Block& block) { return InvMixColumns(block); }
 
 Block EncryptBlock(const Block& plaintext, const KeySchedule& keys) {
-  Block state = Xor(plaintext, keys[0]);
-  for (int round = 1; round < kNumRounds; ++round) {
-    state = EncryptRound(state, keys[round]);
+  const SboxTables& t = Tables();
+  Words state = LoadWords(plaintext);
+  for (int c = 0; c < 4; ++c) {
+    state[c] ^= LoadWord(&keys[0][4 * c]);
   }
-  return EncryptLastRound(state, keys[kNumRounds]);
+  for (int round = 1; round < kNumRounds; ++round) {
+    state = RoundWords(t, state, keys[round]);
+  }
+  return StoreWords(LastRoundWords(t, state, keys[kNumRounds]));
 }
 
 Block DecryptBlock(const Block& ciphertext, const KeySchedule& enc_keys) {

@@ -316,7 +316,9 @@ void ShardCoordinator::RequeueOrInline(CellRef cell) {
 void ShardCoordinator::FailOrRunInline(const CellRef& cell) {
   // A cell that killed its worker on every attempt is not slow but lethal
   // (a crash inside the cell); inlining it would kill the coordinator too.
-  if (cell.deaths > 0 && cell.deaths == cell.attempts) {
+  // Chaos kills count as deaths here only beside a real one: a cell whose
+  // every death was scheduled chaos runs inline like any other.
+  if (cell.deaths > 0 && cell.deaths + cell.chaos_kills == cell.attempts) {
     FailCell(cell, "killed its worker on all " + std::to_string(cell.attempts) + " attempts");
   } else {
     RunCellInline(cell);
@@ -437,7 +439,16 @@ void ShardCoordinator::PollWorkers(double timeout_seconds) {
       // EOF or a hard socket error: the worker died (chaos kill, crash) or
       // dropped us; the respawn ladder takes it from here.
       if (worker.state == WorkerSlot::State::kBusy) {
-        ++worker.inflight.deaths;
+        // A kill the chaos schedule ordered for this attempt says nothing
+        // about the cell; only other deaths can make it lethal.
+        CellRef& cell = worker.inflight;
+        const JobRec& job = *jobs_[cell.job];
+        if (ChaosDecision(options_.chaos, job.workload->name, job.cells[cell.cell].name,
+                          static_cast<uint64_t>(cell.attempts)) == "kill") {
+          ++cell.chaos_kills;
+        } else {
+          ++cell.deaths;
+        }
       }
       WorkerFailed(worker, "connection lost", /*respawn=*/true);
       continue;

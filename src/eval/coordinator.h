@@ -25,8 +25,9 @@
 //      attempt ended with its worker dying: such a cell would take the
 //      coordinator down too, so it ends as a typed cell failure instead;
 //   6. degradation — when every worker is quarantined the remaining cells
-//      run inline serially (lethal cells again end as typed failures); the
-//      suite always completes, flagged `degraded`.
+//      run inline serially (lethal cells again end as typed failures; a
+//      worker death the chaos schedule ordered never makes a cell lethal on
+//      its own); the suite always completes, flagged `degraded`.
 #ifndef MEMSENTRY_SRC_EVAL_COORDINATOR_H_
 #define MEMSENTRY_SRC_EVAL_COORDINATOR_H_
 
@@ -115,8 +116,9 @@ class ShardCoordinator {
   struct CellRef {
     size_t job = 0;
     size_t cell = 0;
-    int attempts = 0;  // completed dispatch attempts
-    int deaths = 0;    // attempts that ended with the worker process dying
+    int attempts = 0;     // completed dispatch attempts
+    int deaths = 0;       // attempts that ended with the worker dying, chaos kills aside
+    int chaos_kills = 0;  // attempts whose worker the chaos schedule killed
   };
 
   double Now() const;

@@ -6,104 +6,77 @@ namespace memsentry::machine {
 
 PhysicalMemory::PhysicalMemory(uint64_t total_frames) : total_frames_(total_frames) {}
 
+PhysicalMemory::Leaf& PhysicalMemory::LeafFor(uint64_t f) {
+  const uint64_t leaf = f >> kLeafBits;
+  if (leaf >= leaves_.size()) {
+    leaves_.resize(leaf + 1);
+  }
+  if (leaves_[leaf] == nullptr) {
+    leaves_[leaf] = std::make_unique<Leaf>();
+  }
+  return *leaves_[leaf];
+}
+
+bool PhysicalMemory::IsAllocatedFrame(uint64_t f) const {
+  const uint64_t leaf = f >> kLeafBits;
+  return leaf < leaves_.size() && leaves_[leaf] != nullptr &&
+         leaves_[leaf]->allocated.test(f & (kLeafFrames - 1));
+}
+
+void PhysicalMemory::MarkAllocated(uint64_t f) {
+  Leaf& leaf = LeafFor(f);
+  if (!leaf.allocated.test(f & (kLeafFrames - 1))) {
+    leaf.allocated.set(f & (kLeafFrames - 1));
+    ++allocated_;
+  }
+}
+
 StatusOr<PhysAddr> PhysicalMemory::AllocFrame() {
   if (next_frame_ >= total_frames_) {
     // Linear scan for a freed frame; allocation is not on the simulated hot
     // path so simplicity wins over a free list.
     for (uint64_t f = 1; f < total_frames_; ++f) {
-      if (frames_.find(f) == frames_.end()) {
-        frames_.emplace(f, nullptr);  // materialized lazily on first touch
+      if (!IsAllocatedFrame(f)) {
+        MarkAllocated(f);  // materialized lazily on first write
         return PhysAddr{f << kPageShift};
       }
     }
     return ResourceExhausted("physical memory exhausted");
   }
   const uint64_t f = next_frame_++;
-  frames_.emplace(f, nullptr);  // materialized lazily on first touch
+  MarkAllocated(f);  // materialized lazily on first write
   return PhysAddr{f << kPageShift};
 }
 
 Status PhysicalMemory::FreeFrame(PhysAddr frame) {
   const uint64_t f = PageNumber(frame);
-  auto it = frames_.find(f);
-  if (it == frames_.end()) {
+  if (!IsAllocatedFrame(f)) {
     return NotFound("freeing unallocated frame");
   }
-  CachedFrame& slot = frame_cache_[f & (kFrameCacheSlots - 1)];
-  if (slot.number == f) {
-    slot = CachedFrame{};
-  }
-  frames_.erase(it);
+  Leaf& leaf = *leaves_[f >> kLeafBits];
+  leaf.allocated.reset(f & (kLeafFrames - 1));
+  leaf.content[f & (kLeafFrames - 1)].reset();
+  --allocated_;
   return OkStatus();
 }
 
 bool PhysicalMemory::IsAllocated(PhysAddr frame) const {
-  return frames_.find(PageNumber(frame)) != frames_.end();
+  return IsAllocatedFrame(PageNumber(frame));
 }
 
-PhysicalMemory::Frame* PhysicalMemory::FrameFor(PhysAddr addr) {
-  const uint64_t f = PageNumber(addr);
+PhysicalMemory::Frame* PhysicalMemory::Materialize(uint64_t f) {
   assert(f < total_frames_ && "physical address out of simulated DRAM");
-  CachedFrame& slot = frame_cache_[f & (kFrameCacheSlots - 1)];
-  if (slot.number == f) {
-    return slot.frame;
+  MarkAllocated(f);
+  std::unique_ptr<Frame>& content = leaves_[f >> kLeafBits]->content[f & (kLeafFrames - 1)];
+  if (content == nullptr) {
+    content = std::make_unique<Frame>();  // value-initialized: all zero
   }
-  auto it = frames_.find(f);
-  if (it == frames_.end()) {
-    it = frames_.emplace(f, nullptr).first;
-  }
-  if (it->second == nullptr) {
-    it->second = std::make_unique<Frame>();
-    it->second->fill(0);
-  }
-  slot = CachedFrame{f, it->second.get()};
-  return it->second.get();
-}
-
-const PhysicalMemory::Frame* PhysicalMemory::FrameForConst(PhysAddr addr) const {
-  const uint64_t f = PageNumber(addr);
-  assert(f < total_frames_ && "physical address out of simulated DRAM");
-  CachedFrame& slot = frame_cache_[f & (kFrameCacheSlots - 1)];
-  if (slot.number == f) {
-    return slot.frame;
-  }
-  auto it = frames_.find(f);
-  if (it == frames_.end()) {
-    return nullptr;
-  }
-  if (it->second != nullptr) {
-    slot = CachedFrame{f, it->second.get()};
-  }
-  return it->second.get();
-}
-
-uint64_t PhysicalMemory::Read64Slow(PhysAddr addr) const {
-  const Frame* frame = FrameForConst(addr);
-  if (frame == nullptr) {
-    return 0;
-  }
-  uint64_t v;
-  std::memcpy(&v, frame->data() + PageOffset(addr), sizeof(v));
-  return v;
-}
-
-void PhysicalMemory::Write64Slow(PhysAddr addr, uint64_t value) {
-  Frame* frame = FrameFor(addr);
-  std::memcpy(frame->data() + PageOffset(addr), &value, sizeof(value));
-}
-
-uint8_t PhysicalMemory::Read8Slow(PhysAddr addr) const {
-  const Frame* frame = FrameForConst(addr);
-  return frame == nullptr ? 0 : (*frame)[PageOffset(addr)];
-}
-
-void PhysicalMemory::Write8Slow(PhysAddr addr, uint8_t value) {
-  (*FrameFor(addr))[PageOffset(addr)] = value;
+  return content.get();
 }
 
 void PhysicalMemory::ReadBytes(PhysAddr addr, void* out, uint64_t size) const {
   assert(PageOffset(addr) + size <= kPageSize && "read crosses a frame boundary");
-  const Frame* frame = FrameForConst(addr);
+  const Frame* frame = Lookup(PageNumber(addr));
   if (frame == nullptr) {
     std::memset(out, 0, size);
     return;
@@ -113,7 +86,7 @@ void PhysicalMemory::ReadBytes(PhysAddr addr, void* out, uint64_t size) const {
 
 void PhysicalMemory::WriteBytes(PhysAddr addr, const void* in, uint64_t size) {
   assert(PageOffset(addr) + size <= kPageSize && "write crosses a frame boundary");
-  std::memcpy(FrameFor(addr)->data() + PageOffset(addr), in, size);
+  std::memcpy(Writable(PageNumber(addr))->data() + PageOffset(addr), in, size);
 }
 
 }  // namespace memsentry::machine

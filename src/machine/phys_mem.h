@@ -1,15 +1,26 @@
 // Sparse simulated physical memory: a frame allocator plus byte-granularity
 // access. Page tables, EPTs and guest data all live in these frames, exactly
 // as they would in real DRAM.
+//
+// Frames are found through a two-level table indexed by frame number: a
+// top-level vector of leaves, each covering kLeafFrames consecutive frames
+// with one content pointer and one allocated bit per frame. The top level
+// grows only to the highest leaf touched, so a machine that uses a few
+// hundred low frames pays for one 4 KiB leaf, a poke at a high frame number
+// pays for one more leaf plus a pointer per leaf below it, and a lookup is
+// two indexed loads whatever the number of live frames — the multi-tenant
+// server keeps tens of thousands of frames live and touches them in ASID
+// order, which defeated any small lookup cache.
 #ifndef MEMSENTRY_SRC_MACHINE_PHYS_MEM_H_
 #define MEMSENTRY_SRC_MACHINE_PHYS_MEM_H_
 
 #include <array>
+#include <bitset>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "src/base/status.h"
 #include "src/base/types.h"
@@ -27,95 +38,89 @@ class PhysicalMemory {
   PhysicalMemory(const PhysicalMemory&) = delete;
   PhysicalMemory& operator=(const PhysicalMemory&) = delete;
 
-  // Allocates a zeroed frame; returns its physical address.
+  // Allocates a zeroed frame; returns its physical address. The frame is
+  // allocated but unmaterialized: it reads as zero and takes no content
+  // storage until its first write.
   StatusOr<PhysAddr> AllocFrame();
   Status FreeFrame(PhysAddr frame);
 
   bool IsAllocated(PhysAddr frame) const;
-  uint64_t allocated_frames() const { return frames_.size(); }
+  uint64_t allocated_frames() const { return allocated_; }
   uint64_t total_frames() const { return total_frames_; }
 
   // Byte access. Addresses may span frame boundaries only within one frame;
-  // callers (the MMU) split accesses at page granularity. The frame-cache
-  // hit path is inline — the interpreter performs one of these per modeled
-  // memory access, and accesses cluster on a handful of frames — with the
-  // map lookup / lazy materialization out of line.
+  // callers (the MMU) split accesses at page granularity. A read of a frame
+  // with no content is zero; a write materializes the frame, allocating it
+  // first if it never was (page tables allocate explicitly; test code may
+  // poke memory directly). The interpreter performs one of these per
+  // modeled memory access, so the table lookups are inline.
   uint64_t Read64(PhysAddr addr) const {
     assert(PageOffset(addr) + 8 <= kPageSize && "64-bit read crosses a frame boundary");
-    if (const Frame* frame = CachedFrameLookup(addr)) {
-      uint64_t v;
+    uint64_t v = 0;
+    if (const Frame* frame = Lookup(PageNumber(addr))) {
       std::memcpy(&v, frame->data() + PageOffset(addr), sizeof(v));
-      return v;
     }
-    return Read64Slow(addr);
+    return v;
   }
   void Write64(PhysAddr addr, uint64_t value) {
     assert(PageOffset(addr) + 8 <= kPageSize && "64-bit write crosses a frame boundary");
-    if (Frame* frame = CachedFrameLookup(addr)) {
-      std::memcpy(frame->data() + PageOffset(addr), &value, sizeof(value));
-      return;
-    }
-    Write64Slow(addr, value);
+    std::memcpy(Writable(PageNumber(addr))->data() + PageOffset(addr), &value, sizeof(value));
   }
   uint8_t Read8(PhysAddr addr) const {
-    if (const Frame* frame = CachedFrameLookup(addr)) {
-      return (*frame)[PageOffset(addr)];
-    }
-    return Read8Slow(addr);
+    const Frame* frame = Lookup(PageNumber(addr));
+    return frame == nullptr ? 0 : (*frame)[PageOffset(addr)];
   }
   void Write8(PhysAddr addr, uint8_t value) {
-    if (Frame* frame = CachedFrameLookup(addr)) {
-      (*frame)[PageOffset(addr)] = value;
-      return;
-    }
-    Write8Slow(addr, value);
+    (*Writable(PageNumber(addr)))[PageOffset(addr)] = value;
   }
   void ReadBytes(PhysAddr addr, void* out, uint64_t size) const;
   void WriteBytes(PhysAddr addr, const void* in, uint64_t size);
 
-  // Crash-safe snapshots (src/machine/snapshot.h): frames sorted by number,
-  // preserving the allocated-but-unmaterialized distinction. LoadState
-  // replaces all content, validates the DRAM geometry and resets the frame
-  // lookup cache.
+  // Crash-safe snapshots (src/machine/snapshot.h): allocated frames in
+  // ascending frame order, preserving the allocated-but-unmaterialized
+  // distinction. LoadState replaces all content and validates the DRAM
+  // geometry.
   void SaveState(SnapshotWriter& w) const;
   Status LoadState(SnapshotReader& r);
 
  private:
   using Frame = std::array<uint8_t, kPageSize>;
 
-  // Returns the frame backing addr, materializing it if the frame number is
-  // within bounds but was never explicitly allocated (page tables allocate
-  // explicitly; test code may poke memory directly).
-  Frame* FrameFor(PhysAddr addr);
-  const Frame* FrameForConst(PhysAddr addr) const;
-
-  // Direct-mapped cache probe shared by the inline access fast paths;
-  // returns nullptr on a cache miss (the slow paths consult the map).
-  Frame* CachedFrameLookup(PhysAddr addr) const {
-    const uint64_t f = PageNumber(addr);
-    const CachedFrame& slot = frame_cache_[f & (kFrameCacheSlots - 1)];
-    return slot.number == f ? slot.frame : nullptr;
-  }
-
-  // Out-of-line halves of the inline accessors: frame-cache misses only.
-  uint64_t Read64Slow(PhysAddr addr) const;
-  void Write64Slow(PhysAddr addr, uint64_t value);
-  uint8_t Read8Slow(PhysAddr addr) const;
-  void Write8Slow(PhysAddr addr, uint8_t value);
-
-  // Direct-mapped lookup cache in front of the frame map: accesses cluster
-  // heavily by frame, and the Frame* stays stable behind its unique_ptr.
-  // Only materialized frames are cached; FreeFrame evicts its slot.
-  struct CachedFrame {
-    uint64_t number = ~uint64_t{0};
-    Frame* frame = nullptr;
+  static constexpr int kLeafBits = 9;
+  static constexpr uint64_t kLeafFrames = uint64_t{1} << kLeafBits;  // 4 KiB of pointers
+  struct Leaf {
+    std::array<std::unique_ptr<Frame>, kLeafFrames> content;  // null: reads as zero
+    std::bitset<kLeafFrames> allocated;                       // held by the allocator
   };
-  static constexpr uint64_t kFrameCacheSlots = 64;  // power of two
+
+  // The content of frame `f`, or nullptr when it has none (unallocated or
+  // never written).
+  Frame* Lookup(uint64_t f) const {
+    assert(f < total_frames_ && "physical address out of simulated DRAM");
+    const uint64_t leaf = f >> kLeafBits;
+    if (leaf >= leaves_.size() || leaves_[leaf] == nullptr) {
+      return nullptr;
+    }
+    return leaves_[leaf]->content[f & (kLeafFrames - 1)].get();
+  }
+  Frame* Writable(uint64_t f) {
+    if (Frame* frame = Lookup(f)) {
+      return frame;
+    }
+    return Materialize(f);
+  }
+  // Out of line: gives frame `f` zeroed content, allocating it if needed.
+  Frame* Materialize(uint64_t f);
+  // The leaf covering frame `f`, created (empty) if absent.
+  Leaf& LeafFor(uint64_t f);
+  bool IsAllocatedFrame(uint64_t f) const;
+  // Marks `f` allocated; a frame already held keeps its content.
+  void MarkAllocated(uint64_t f);
 
   uint64_t total_frames_;
   uint64_t next_frame_ = 1;  // frame 0 reserved: phys 0 is never handed out
-  std::unordered_map<uint64_t, std::unique_ptr<Frame>> frames_;
-  mutable std::array<CachedFrame, kFrameCacheSlots> frame_cache_;
+  uint64_t allocated_ = 0;
+  std::vector<std::unique_ptr<Leaf>> leaves_;  // index: frame number >> kLeafBits
 };
 
 }  // namespace memsentry::machine

@@ -174,28 +174,30 @@ Status SnapshotReader::Finish() const {
 }
 
 // --- PhysicalMemory ----------------------------------------------------------
-// Frames are written sorted by frame number so blobs are canonical. The
-// allocated-but-unmaterialized distinction (nullptr value in the map) is
-// preserved: such frames read as zero but occupy allocator slots, and
-// re-materializing them eagerly would change allocator behavior.
+// Allocated frames are written in ascending frame order so blobs are
+// canonical. The allocated-but-unmaterialized distinction is preserved: such
+// frames read as zero but occupy allocator slots, and re-materializing them
+// eagerly would change allocator behavior.
 
 void PhysicalMemory::SaveState(SnapshotWriter& w) const {
   w.PutTag(kTagPmem);
   w.PutU64(total_frames_);
   w.PutU64(next_frame_);
-  std::vector<uint64_t> numbers;
-  numbers.reserve(frames_.size());
-  for (const auto& [number, frame] : frames_) {
-    numbers.push_back(number);
-  }
-  std::sort(numbers.begin(), numbers.end());
-  w.PutU64(numbers.size());
-  for (uint64_t number : numbers) {
-    const auto& frame = frames_.at(number);
-    w.PutU64(number);
-    w.PutBool(frame != nullptr);
-    if (frame != nullptr) {
-      w.PutBytes(frame->data(), kPageSize);
+  w.PutU64(allocated_);
+  for (uint64_t leaf = 0; leaf < leaves_.size(); ++leaf) {
+    if (leaves_[leaf] == nullptr) {
+      continue;
+    }
+    for (uint64_t i = 0; i < kLeafFrames; ++i) {
+      if (!leaves_[leaf]->allocated.test(i)) {
+        continue;
+      }
+      const Frame* frame = leaves_[leaf]->content[i].get();
+      w.PutU64((leaf << kLeafBits) | i);
+      w.PutBool(frame != nullptr);
+      if (frame != nullptr) {
+        w.PutBytes(frame->data(), kPageSize);
+      }
     }
   }
 }
@@ -215,27 +217,30 @@ Status PhysicalMemory::LoadState(SnapshotReader& r) {
   if (!r.FitCount(count, 9)) {
     return r.status();
   }
-  std::unordered_map<uint64_t, std::unique_ptr<Frame>> frames;
-  frames.reserve(count);
+  // Decode into a fresh table and swap it in only once the whole section
+  // parsed, so a damaged blob leaves the machine untouched.
+  PhysicalMemory loaded(total_frames_);
   for (uint64_t i = 0; i < count && r.status().ok(); ++i) {
     const uint64_t number = r.U64();
     const bool materialized = r.Bool();
     if (number >= total_frames_) {
       return InvalidArgument("snapshot frame number out of range");
     }
-    std::unique_ptr<Frame> frame;
+    loaded.MarkAllocated(number);
+    std::unique_ptr<Frame>& content =
+        loaded.leaves_[number >> kLeafBits]->content[number & (kLeafFrames - 1)];
+    content.reset();
     if (materialized) {
-      frame = std::make_unique<Frame>();
-      r.Bytes(frame->data(), kPageSize);
+      content = std::make_unique<Frame>();
+      r.Bytes(content->data(), kPageSize);
     }
-    frames[number] = std::move(frame);
   }
   if (!r.status().ok()) {
     return r.status();
   }
-  frames_ = std::move(frames);
+  leaves_ = std::move(loaded.leaves_);
+  allocated_ = loaded.allocated_;
   next_frame_ = next;
-  frame_cache_.fill(CachedFrame{});
   return OkStatus();
 }
 

@@ -42,6 +42,9 @@ void Kernel::InjectSyscallFailure(Sysno nr, Errno err, int count) {
 }
 
 bool Kernel::ConsumeInjected(uint64_t nr, Errno* err) {
+  if (armed_.empty()) {
+    return false;  // the common case: no fault campaign armed anything
+  }
   for (ArmedFailure& armed : armed_) {
     if (armed.nr == nr && armed.remaining > 0) {
       --armed.remaining;

@@ -9,6 +9,12 @@
 // Everything is in modeled cycles and driven purely by submitted arrivals —
 // no wall clock, no host randomness — so a run is bit-identical for a given
 // submission set regardless of host load or `--jobs`.
+//
+// The run queues are flat: Run buckets the arrival-sorted submissions by
+// tenant once (a stable counting sort), so each tenant's FIFO is a slice of
+// one array and its queue state is three numbers — the head request, the end
+// of the admitted prefix and the head request's next phase. Admission and
+// completion only move those cursors; nothing is allocated per request.
 #ifndef MEMSENTRY_SRC_SIM_SCHEDULER_H_
 #define MEMSENTRY_SRC_SIM_SCHEDULER_H_
 
@@ -66,7 +72,8 @@ class Scheduler {
   Scheduler(const SchedulerConfig& config, uint16_t num_tenants);
 
   // Registers a request arriving at `arrival` modeled cycles for `tenant`.
-  // All submissions must precede Run. Ties are served in submission order.
+  // All submissions must precede Run, which runs once. Ties are served in
+  // submission order.
   void Submit(uint16_t tenant, uint64_t seq, Cycles arrival);
 
   void SetSwitchHook(SwitchHook hook) { switch_hook_ = std::move(hook); }
@@ -92,19 +99,22 @@ class Scheduler {
     uint16_t tenant = 0;
     uint64_t seq = 0;
   };
-  struct Active {
+  struct Queued {
     uint64_t seq = 0;
     Cycles arrival = 0;
-    int phase = 0;
   };
   struct Tenant {
-    std::deque<Active> run_queue;  // this ASID's runnable requests, FIFO
+    // This ASID's runnable requests are queue_[head, admitted), FIFO; its
+    // not-yet-arrived ones follow up to the start of the next tenant's slice.
+    size_t head = 0;
+    size_t admitted = 0;
+    int phase = 0;  // next phase of queue_[head]
     bool in_ready = false;
     Cycles busy_cycles = 0;
     uint64_t completed = 0;
   };
 
-  // Moves every pending arrival with arrival <= clock_ onto its tenant's run
+  // Admits every pending arrival with arrival <= now onto its tenant's run
   // queue and readies the tenant.
   void AdmitUpTo(Cycles now);
   void MakeReady(uint16_t tenant);
@@ -113,6 +123,8 @@ class Scheduler {
   std::vector<Tenant> tenants_;
   std::vector<Pending> pending_;   // sorted stably by arrival before running
   size_t admit_cursor_ = 0;
+  std::vector<Queued> queue_;      // pending_ bucketed by tenant: every run queue
+  bool ran_ = false;
   std::deque<uint16_t> ready_;     // round-robin order; each tenant at most once
   SwitchHook switch_hook_;
   SchedulerStats stats_;

@@ -1,9 +1,11 @@
 #include "src/workloads/server.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "src/base/rng.h"
 #include "src/base/thread_pool.h"
@@ -296,12 +298,9 @@ ir::Module BuildRequestModule(ServerTechnique technique) {
 
 Status ServerEngine::BuildSharedRequestStream() {
   request_module_ = BuildRequestModule(config_.technique);
-  // Every tenant draws its decoded stream from the shared cache: the first
-  // draw anywhere in the suite lowers, every other tenant (and every other
-  // engine of this technique) hits.
-  for (int t = 0; t < config_.tenants; ++t) {
-    decoded_request_ = sim::DecodeCache::Global().Get(request_module_, process_);
-  }
+  // One draw per engine serves every tenant: the first draw anywhere in the
+  // suite lowers, every other engine of this technique hits.
+  decoded_request_ = sim::DecodeCache::Global().Get(request_module_, process_);
   // One bounded run on a scratch machine proves the shared lowering
   // actually executes the request path; the engine's own machine state (and
   // therefore every modeled digest) is untouched.
@@ -351,6 +350,24 @@ Cycles ServerEngine::TouchWrite(VirtAddr va, uint64_t value) {
   return cycles;
 }
 
+Cycles ServerEngine::CryptRegionInPlace(int tenant, bool encrypted_after) {
+  // One CTR pass over the region: ~11 AES rounds per block plus the key
+  // extraction. The region is at most a page (Setup checks), so it is
+  // staged on the stack.
+  sim::SafeRegion& region = process_.safe_regions()[static_cast<size_t>(tenant)];
+  std::array<uint8_t, kPageSize> buf;
+  const std::span<uint8_t> bytes(buf.data(), config_.safe_region_bytes);
+  std::ranges::fill(bytes, uint8_t{0});  // a failed peek leaves zeros, never stack bytes
+  (void)process_.PeekBytes(region.base, bytes.data(), bytes.size());
+  aes::CryptRegion(bytes, region.enc_keys, region.nonce);
+  (void)process_.PokeBytes(region.base, bytes.data(), bytes.size());
+  region.encrypted_now = encrypted_after;
+  const machine::CostModel& cost = machine_.cost;
+  const double blocks =
+      std::ceil(static_cast<double>(config_.safe_region_bytes) / aes::kBlockSize);
+  return blocks * cost.aes_round * 11.0 + cost.ymm_to_xmm_all_keys;
+}
+
 Cycles ServerEngine::OpenRegion(int tenant) {
   const machine::CostModel& cost = machine_.cost;
   switch (config_.technique) {
@@ -365,19 +382,9 @@ Cycles ServerEngine::OpenRegion(int tenant) {
                              sim::kProtRw);
       return cost.mprotect_call;
     }
-    case ServerTechnique::kCrypt: {
-      // Genuinely decrypt in place (keys conceptually live in ymm uppers);
-      // one CTR pass is ~11 AES rounds per block plus the key extraction.
-      sim::SafeRegion& region = process_.safe_regions()[static_cast<size_t>(tenant)];
-      std::vector<uint8_t> buf(config_.safe_region_bytes);
-      (void)process_.PeekBytes(region.base, buf.data(), buf.size());
-      aes::CryptRegion(buf, region.enc_keys, region.nonce);
-      (void)process_.PokeBytes(region.base, buf.data(), buf.size());
-      region.encrypted_now = false;
-      const double blocks =
-          std::ceil(static_cast<double>(config_.safe_region_bytes) / aes::kBlockSize);
-      return blocks * cost.aes_round * 11.0 + cost.ymm_to_xmm_all_keys;
-    }
+    case ServerTechnique::kCrypt:
+      // Genuinely decrypt in place (keys conceptually live in ymm uppers).
+      return CryptRegionInPlace(tenant, /*encrypted_after=*/false);
   }
   return 0;
 }
@@ -396,17 +403,8 @@ Cycles ServerEngine::CloseRegion(int tenant) {
                              sim::kProtNone);
       return cost.mprotect_call;
     }
-    case ServerTechnique::kCrypt: {
-      sim::SafeRegion& region = process_.safe_regions()[static_cast<size_t>(tenant)];
-      std::vector<uint8_t> buf(config_.safe_region_bytes);
-      (void)process_.PeekBytes(region.base, buf.data(), buf.size());
-      aes::CryptRegion(buf, region.enc_keys, region.nonce);
-      (void)process_.PokeBytes(region.base, buf.data(), buf.size());
-      region.encrypted_now = true;
-      const double blocks =
-          std::ceil(static_cast<double>(config_.safe_region_bytes) / aes::kBlockSize);
-      return blocks * cost.aes_round * 11.0 + cost.ymm_to_xmm_all_keys;
-    }
+    case ServerTechnique::kCrypt:
+      return CryptRegionInPlace(tenant, /*encrypted_after=*/true);
   }
   return 0;
 }

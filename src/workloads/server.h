@@ -127,11 +127,13 @@ class ServerEngine {
   Cycles RunPhase(uint16_t tenant, uint64_t seq, int phase, bool* done);
   Cycles OpenRegion(int tenant);   // technique-specific open, returns cycles
   Cycles CloseRegion(int tenant);  // technique-specific close
+  // Crypt: toggles the tenant's region through AES-CTR in place.
+  Cycles CryptRegionInPlace(int tenant, bool encrypted_after);
   // One priced MMU access; faults are counted, not fatal.
   Cycles TouchRead(VirtAddr va);
   Cycles TouchWrite(VirtAddr va, uint64_t value);
-  // Builds request_module_, has every tenant draw the decoded stream from
-  // the shared cache (one lowering per technique suite-wide), and proves
+  // Builds request_module_, draws its decoded stream from the shared cache
+  // once for all tenants (one lowering per technique suite-wide), and proves
   // the lowering executes by running it on a scratch machine. Digest-
   // neutral: the engine's own machine state is never touched.
   Status BuildSharedRequestStream();

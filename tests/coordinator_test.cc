@@ -7,6 +7,7 @@
 //    completes, flagged `degraded`;
 //  - a cell that kills its worker on every attempt ends as a typed job
 //    failure and never runs inline, so it cannot take the coordinator down;
+//    a death the chaos schedule ordered does not make a cell lethal;
 //  - restore/on_cell_done durability hooks mirror the engine's semantics;
 //  - the chaos schedule is a pure function of (seed, workload, cell,
 //    attempt) and re-dispatched attempts always run clean.
@@ -232,6 +233,30 @@ TEST(ShardCoordinator, DegradesToInlineWhenAllWorkersDie) {
   EXPECT_EQ(shard, serial);
   EXPECT_TRUE(stats.degraded);
   EXPECT_EQ(stats.workers_quarantined, 2u);
+  EXPECT_EQ(stats.cells_inlined, stats.cells_total);
+}
+
+// A worker death the chaos schedule ordered is not the cell's doing. With
+// every first attempt chaos-killed and one strike quarantining the only
+// worker, the first dispatched cell has one attempt and one death; it must
+// complete inline with the rest rather than fail as lethal.
+TEST(ShardCoordinator, ChaosKilledCellCompletesInlineAfterQuarantine) {
+  std::map<std::string, std::string> serial;
+  ASSERT_NO_FATAL_FAILURE(RunSerial(&serial));
+
+  eval::CoordinatorOptions options;
+  options.workers = 1;
+  options.quarantine_after = 1;
+  options.chaos.kill = true;
+  options.chaos.seed = 1;
+  options.chaos.one_in = 1;  // every first attempt is killed
+  std::map<std::string, std::string> shard;
+  eval::CoordinatorStats stats;
+  ASSERT_NO_FATAL_FAILURE(RunShard(std::move(options), "chaos_kill", &shard, &stats));
+  EXPECT_EQ(shard, serial);
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(stats.workers_quarantined, 1u);
+  EXPECT_EQ(stats.cells_dispatched, 1u);
   EXPECT_EQ(stats.cells_inlined, stats.cells_total);
 }
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "src/machine/cache.h"
 #include "src/machine/mmu.h"
 #include "src/machine/page_table.h"
 #include "src/machine/phys_mem.h"
+#include "src/machine/snapshot.h"
 #include "src/machine/tlb.h"
 
 namespace memsentry::machine {
@@ -47,6 +52,139 @@ TEST(PhysicalMemoryTest, DoubleFreeFails) {
   auto a = pmem.AllocFrame();
   ASSERT_TRUE(pmem.FreeFrame(a.value()).ok());
   EXPECT_FALSE(pmem.FreeFrame(a.value()).ok());
+}
+
+// The frame table is two-level and grows to the highest frame touched: a
+// poke at the top of DRAM must land, read back, and count as allocated, and
+// a read of a never-touched high frame must neither fault nor allocate.
+TEST(PhysicalMemoryTest, PokeAndReadNearTheLastFrame) {
+  PhysicalMemory pmem(uint64_t{1} << 20);
+  const PhysAddr last = (pmem.total_frames() - 1) << kPageShift;
+  EXPECT_EQ(pmem.Read64(last + kPageSize - 8), 0u);
+  EXPECT_EQ(pmem.Read8(last - kPageSize), 0u);
+  EXPECT_EQ(pmem.allocated_frames(), 0u);
+  EXPECT_FALSE(pmem.IsAllocated(last));
+
+  pmem.Write64(last + kPageSize - 8, 0x0123456789abcdefULL);
+  pmem.Write8(last, 0x5a);
+  EXPECT_EQ(pmem.Read64(last + kPageSize - 8), 0x0123456789abcdefULL);
+  EXPECT_EQ(pmem.Read8(last), 0x5a);
+  EXPECT_TRUE(pmem.IsAllocated(last));
+  EXPECT_FALSE(pmem.IsAllocated(last - kPageSize));
+  EXPECT_EQ(pmem.allocated_frames(), 1u);
+
+  // The allocator still hands out low frames first, untouched by the poke.
+  auto low = pmem.AllocFrame();
+  ASSERT_TRUE(low.ok());
+  EXPECT_EQ(low.value(), PhysAddr{kPageSize});
+  EXPECT_EQ(pmem.allocated_frames(), 2u);
+}
+
+// AllocFrame hands out unmaterialized frames: they read as zero through
+// every accessor, count in allocated_frames(), and first writes land.
+TEST(PhysicalMemoryTest, AllocatedButUntouchedFramesReadZero) {
+  PhysicalMemory pmem(4096);
+  std::vector<PhysAddr> frames;
+  for (int i = 0; i < 600; ++i) {  // spans more than one table leaf
+    auto frame = pmem.AllocFrame();
+    ASSERT_TRUE(frame.ok());
+    frames.push_back(frame.value());
+  }
+  EXPECT_EQ(pmem.allocated_frames(), 600u);
+  for (PhysAddr frame : frames) {
+    EXPECT_TRUE(pmem.IsAllocated(frame));
+    EXPECT_EQ(pmem.Read64(frame + 8), 0u);
+    EXPECT_EQ(pmem.Read8(frame + kPageSize - 1), 0u);
+  }
+  uint8_t bytes[32];
+  std::memset(bytes, 0xff, sizeof(bytes));
+  pmem.ReadBytes(frames[599] + 64, bytes, sizeof(bytes));
+  for (uint8_t b : bytes) {
+    EXPECT_EQ(b, 0u);
+  }
+  pmem.Write64(frames[599] + 8, 7);
+  EXPECT_EQ(pmem.Read64(frames[599] + 8), 7u);
+  EXPECT_EQ(pmem.Read64(frames[599]), 0u);
+  EXPECT_EQ(pmem.allocated_frames(), 600u);  // materializing is not allocating
+}
+
+// Once next-frame allocation runs out, AllocFrame scans for the lowest freed
+// frame — across table leaves — and a reused frame comes back zeroed.
+TEST(PhysicalMemoryTest, FreedFramesAreReusedByTheExhaustionScan) {
+  PhysicalMemory pmem(1030);  // frames 1..1029 usable, three table leaves
+  for (uint64_t f = 1; f < 1030; ++f) {
+    auto frame = pmem.AllocFrame();
+    ASSERT_TRUE(frame.ok());
+    ASSERT_EQ(frame.value(), PhysAddr{f << kPageShift});
+  }
+  EXPECT_FALSE(pmem.AllocFrame().ok());
+  const PhysAddr high = PhysAddr{700} << kPageShift;
+  const PhysAddr low = PhysAddr{3} << kPageShift;
+  pmem.Write64(high, 0xfeed);
+  ASSERT_TRUE(pmem.FreeFrame(high).ok());
+  ASSERT_TRUE(pmem.FreeFrame(low).ok());
+  EXPECT_FALSE(pmem.IsAllocated(high));
+  EXPECT_EQ(pmem.Read64(high), 0u);  // freed content is gone
+  EXPECT_EQ(pmem.allocated_frames(), 1027u);
+
+  auto first = pmem.AllocFrame();
+  auto second = pmem.AllocFrame();
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first.value(), low);
+  EXPECT_EQ(second.value(), high);
+  EXPECT_EQ(pmem.Read64(high), 0u);
+  EXPECT_FALSE(pmem.AllocFrame().ok());
+  EXPECT_EQ(pmem.allocated_frames(), 1029u);
+}
+
+// Snapshots carry allocated frames in ascending order with the
+// materialized bit; a save -> load -> save round trip is byte-identical,
+// including unmaterialized and high frames, and the loaded copy behaves the
+// same (contents, allocation state, the next frame handed out).
+TEST(PhysicalMemoryTest, SnapshotRoundTripIsByteIdentical) {
+  constexpr uint64_t kFrames = uint64_t{1} << 20;
+  PhysicalMemory pmem(kFrames);
+  std::vector<PhysAddr> frames;
+  for (int i = 0; i < 5; ++i) {
+    frames.push_back(pmem.AllocFrame().value());
+  }
+  pmem.Write64(frames[1] + 16, 0xabcdef);  // frames 0, 2, 3, 4 stay unmaterialized
+  ASSERT_TRUE(pmem.FreeFrame(frames[3]).ok());
+  const PhysAddr high = (kFrames - 2) << kPageShift;
+  const PhysAddr mid = PhysAddr{70'000} << kPageShift;
+  pmem.Write8(high + 5, 0x42);
+  pmem.Write64(mid, 0x1111);
+
+  SnapshotWriter w;
+  pmem.SaveState(w);
+  const std::string blob = w.Finalize();
+
+  PhysicalMemory loaded(kFrames);
+  (void)loaded.AllocFrame();  // stale state LoadState must replace
+  loaded.Write64(PhysAddr{9} << kPageShift, 99);
+  auto r = SnapshotReader::Open(blob);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(loaded.LoadState(*r).ok());
+  ASSERT_TRUE(r->Finish().ok());
+
+  SnapshotWriter again;
+  loaded.SaveState(again);
+  EXPECT_EQ(again.Finalize(), blob);
+  EXPECT_EQ(loaded.allocated_frames(), pmem.allocated_frames());
+  EXPECT_EQ(loaded.Read64(frames[1] + 16), 0xabcdefu);
+  EXPECT_EQ(loaded.Read8(high + 5), 0x42u);
+  EXPECT_EQ(loaded.Read64(mid), 0x1111u);
+  EXPECT_EQ(loaded.Read64(PhysAddr{9} << kPageShift), 0u);
+  EXPECT_TRUE(loaded.IsAllocated(frames[0]));
+  EXPECT_FALSE(loaded.IsAllocated(frames[3]));
+  EXPECT_EQ(loaded.AllocFrame().value(), pmem.AllocFrame().value());
+
+  // A frame number past the machine's DRAM is rejected, not indexed.
+  PhysicalMemory small(1024);
+  auto r2 = SnapshotReader::Open(blob);
+  ASSERT_TRUE(r2.ok());
+  EXPECT_FALSE(small.LoadState(*r2).ok());
 }
 
 class PageTableTest : public ::testing::Test {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 namespace memsentry::sim {
@@ -183,6 +184,63 @@ TEST(SchedulerTest, DeterministicAcrossRuns) {
     EXPECT_EQ(a[i].arrival, b[i].arrival);
     EXPECT_EQ(a[i].completion, b[i].completion);
   }
+}
+
+// Golden completion order, recorded with the per-tenant deque run queues the
+// flat queues replaced. The schedule mixes staggered arrivals, equal
+// arrival times across tenants, arrivals that land mid-slice, a tenant
+// whose submissions are out of arrival order, multi-phase requests of
+// uneven cost and an idle gap.
+std::string GoldenScheduleTrace() {
+  SchedulerConfig config;
+  config.quantum = 900;
+  config.context_switch_cycles = 120;
+  Scheduler scheduler(config, 4);
+  const struct {
+    uint16_t tenant;
+    uint64_t seq;
+    Cycles arrival;
+  } submissions[] = {
+      {0, 0, 0},    {0, 1, 0},    {0, 2, 0},     {0, 3, 5'000},  {1, 0, 0},
+      {1, 1, 250},  {1, 2, 2'600}, {2, 0, 400},  {2, 1, 400},    {2, 2, 9'000},
+      {3, 0, 3'000}, {3, 1, 1'200}, {3, 2, 1'200}, {3, 3, 60'000},
+  };
+  for (const auto& s : submissions) {
+    scheduler.Submit(s.tenant, s.seq, s.arrival);
+  }
+  std::string trace;
+  scheduler.SetSwitchHook(
+      [&trace](uint16_t tenant) { trace += "s" + std::to_string(tenant) + " "; });
+  const auto completed =
+      scheduler.Run([](uint16_t tenant, uint64_t seq, int phase, bool* done) -> Cycles {
+        *done = phase + 1 == 1 + static_cast<int>((tenant + seq) % 3);
+        return static_cast<Cycles>(150 + 37 * tenant + 11 * seq + 60 * phase);
+      });
+  for (const CompletedRequest& request : completed) {
+    trace += std::to_string(request.tenant) + "." + std::to_string(request.seq) + "@" +
+             std::to_string(static_cast<uint64_t>(request.completion)) + " ";
+  }
+  const SchedulerStats& stats = scheduler.stats();
+  trace += "| switches=" + std::to_string(stats.context_switches) +
+           " preemptions=" + std::to_string(stats.preemptions) +
+           " idle=" + std::to_string(stats.idle_jumps) +
+           " busy=" + std::to_string(static_cast<uint64_t>(stats.busy_cycles)) +
+           " clock=" + std::to_string(static_cast<uint64_t>(scheduler.clock()));
+  for (uint16_t t = 0; t < 4; ++t) {
+    trace += " t" + std::to_string(t) + "=" +
+             std::to_string(static_cast<uint64_t>(scheduler.tenant_busy_cycles(t))) + "/" +
+             std::to_string(scheduler.tenant_completed(t));
+  }
+  return trace;
+}
+
+TEST(SchedulerTest, GoldenCompletionOrder) {
+  EXPECT_EQ(GoldenScheduleTrace(),
+            "s0 s1 s2 s0 s3 s1 s0 s3 s2 s3 "
+            "0.0@270 0.1@652 1.0@1610 1.1@2384 2.0@3356 2.1@3591 0.2@4003 3.1@4727 "
+            "1.2@5682 0.3@5985 3.2@6508 3.0@6769 2.2@9672 3.3@60414 "
+            "| switches=10 preemptions=2 idle=2 busy=6655 clock=60414 "
+            "t0=1411/4 t1=1417/3 t2=1639/3 t3=2188/4");
 }
 
 }  // namespace

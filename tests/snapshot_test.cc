@@ -383,6 +383,9 @@ TEST(SnapshotFormat, GoldenV1BlobIsStableAndResumable) {
   const Status loaded =
       sim::LoadSnapshot(blob.value(), twin->process.get(), &partial, nullptr, nullptr);
   ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  // Loading is lossless: the restored machine re-serializes to the same bytes.
+  EXPECT_EQ(sim::SaveSnapshot(*twin->process, &partial, nullptr, nullptr, "golden-v1"),
+            blob.value());
   sim::Executor resumer(twin->process.get(), &twin->module);
   sim::RunConfig rc;
   const sim::RunResult resumed = resumer.Resume(rc, partial);
