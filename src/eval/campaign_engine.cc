@@ -404,6 +404,17 @@ bool CampaignEngine::OnJobDone(uint64_t job_id, std::function<void(const JobRepo
   return true;
 }
 
+bool CampaignEngine::Forget(uint64_t job_id) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = jobs_by_id_.find(job_id);
+  if (it == jobs_by_id_.end() || it->second->report.state == JobState::kQueued ||
+      it->second->report.state == JobState::kRunning) {
+    return false;
+  }
+  jobs_by_id_.erase(it);
+  return true;
+}
+
 void CampaignEngine::WaitAll() {
   std::unique_lock<std::mutex> lock(mutex_);
   job_done_.wait(lock, [&] {

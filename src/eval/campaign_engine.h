@@ -167,7 +167,8 @@ class CampaignEngine {
   bool Cancel(uint64_t job_id);
 
   // Blocks until the job reaches a terminal state. nullptr for unknown ids;
-  // the report stays valid for the engine's lifetime.
+  // the report stays valid for the engine's lifetime unless the job is
+  // forgotten (Forget).
   const JobReport* Wait(uint64_t job_id);
   void WaitAll();
 
@@ -176,6 +177,12 @@ class CampaignEngine {
   // the worker that finishes it. Returns false, without calling, for an
   // unknown id.
   bool OnJobDone(uint64_t job_id, std::function<void(const JobReport&)> done);
+
+  // Drops a finished job, so later queries for its id answer as unknown.
+  // The serve daemon calls it once a job's wait reply is built; in-process
+  // callers never do, so Wait()'s reports stay valid for them. Returns
+  // false for unknown or unfinished jobs.
+  bool Forget(uint64_t job_id);
 
   // Runs `task` on one of the workers, queued and stolen like a cell, so
   // ad-hoc work (the serve daemon's run_cell) shares the --jobs budget with

@@ -513,11 +513,15 @@ void Server::Handle(uint64_t id, Conn& conn, const std::string& line) {
       return;
     }
     conn.busy = true;
-    const bool known =
-        engine_.OnJobDone(static_cast<uint64_t>(job->number_value()),
-                          [&replies = replies_, id](const JobReport& report) {
-                            replies.Push(id, WaitResponse(report).Dump());
-                          });
+    // The wait reply is the job's last answer: the job is dropped once it is
+    // built, so the daemon's job table holds only jobs nobody has collected.
+    const uint64_t job_id = static_cast<uint64_t>(job->number_value());
+    const bool known = engine_.OnJobDone(
+        job_id, [&engine = engine_, &replies = replies_, id, job_id](const JobReport& report) {
+          std::string reply = WaitResponse(report).Dump();
+          engine.Forget(job_id);
+          replies.Push(id, std::move(reply));
+        });
     if (!known) {
       conn.busy = false;
       Reply(conn, ErrorResponse("unknown_job", "unknown job").Dump());

@@ -33,7 +33,9 @@
 //     inline on the I/O thread;
 //   - run_cell runs on one of the engine's workers (CampaignEngine::Post),
 //     so at most --jobs cells run at once, shared with submitted jobs;
-//   - wait completes when its job does (CampaignEngine::OnJobDone).
+//   - wait completes when its job does (CampaignEngine::OnJobDone); the
+//     wait reply is the job's last answer, after which the job is dropped
+//     and a later status or wait for it gets unknown_job.
 // Workers hand finished replies back through a self-pipe the loop polls,
 // so a connection waiting on a cell or a job never delays another
 // connection's ping. Each connection carries one request at a time: lines

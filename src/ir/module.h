@@ -35,7 +35,7 @@ struct Module {
 
   // The digest memo below is atomic (not copyable), so spell out the value
   // operations. Copies and moves drop the memo — they are setup-time
-  // operations and the memo re-fills on the next decode-cache lookup.
+  // operations and the memo re-fills on the next content digest.
   Module() = default;
   Module(const Module& o) : functions(o.functions), entry(o.entry), version(o.version) {}
   Module& operator=(const Module& o) {
@@ -54,7 +54,7 @@ struct Module {
     digest_version_.store(~uint64_t{0}, std::memory_order_release);
     return *this;
   }
-  // Mutation counter for decode-cache invalidation: PassManager bumps it
+  // Mutation counter for decode invalidation: PassManager bumps it
   // after every pass, and anything else that edits instructions should call
   // Touch() so a stale sim::DecodedModule is detected cheaply.
   uint64_t version = 0;
@@ -63,7 +63,7 @@ struct Module {
 
   // Content-digest memo for sim::ModuleContentDigest: valid while the module
   // is at `digest_version` (Touch() implicitly invalidates it). Atomics so
-  // concurrent decode-cache lookups against one shared module instance stay
+  // concurrent digests of one shared module instance stay
   // race-free; the release/acquire pair orders the value under the version.
   uint64_t CachedDigest(uint64_t* out) const {
     const uint64_t at = digest_version_.load(std::memory_order_acquire);

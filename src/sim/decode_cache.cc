@@ -11,54 +11,7 @@ namespace {
 inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 inline constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
 
-inline void Mix(uint64_t* h, uint64_t v) {
-  // FNV-1a over the value's 8 bytes, avoiding per-byte loop overhead where
-  // a whole word is available.
-  for (int i = 0; i < 8; ++i) {
-    *h = (*h ^ (v & 0xff)) * kFnvPrime;
-    v >>= 8;
-  }
-}
-
 }  // namespace
-
-uint64_t ModuleContentDigest(const ir::Module& module) {
-  // The digest is O(instructions); the memo keeps repeated cache lookups of
-  // an unmodified module (one per Executor construction in the bench
-  // harnesses) at O(1). Touch() invalidates by bumping `version`.
-  uint64_t memo = 0;
-  if (module.CachedDigest(&memo) == module.version) {
-    return memo;
-  }
-  // Two independent FNV lanes — every fixed-width field packed into one
-  // word on lane 0, the immediate on lane 1 — so the xor-multiply chains
-  // run in parallel instead of serializing three multiplies per
-  // instruction. Benches digest a fresh ~20k-instruction module per run,
-  // which put the old chain at ~14% of bench wall time.
-  uint64_t h0 = kFnvOffset;
-  uint64_t h1 = kFnvOffset ^ 0x9e3779b97f4a7c15ull;
-  Mix(&h0, static_cast<uint64_t>(module.entry));
-  Mix(&h0, module.functions.size());
-  for (const ir::Function& f : module.functions) {
-    Mix(&h0, f.blocks.size());
-    for (const ir::BasicBlock& b : f.blocks) {
-      Mix(&h1, b.instrs.size());
-      for (const ir::Instr& instr : b.instrs) {
-        h0 = (h0 ^ ((static_cast<uint64_t>(instr.op) << 56) |
-                    (static_cast<uint64_t>(static_cast<uint8_t>(instr.dst)) << 48) |
-                    (static_cast<uint64_t>(static_cast<uint8_t>(instr.src)) << 40) |
-                    (static_cast<uint64_t>(instr.flags) << 32) |
-                    static_cast<uint64_t>(static_cast<uint32_t>(instr.target)))) *
-             kFnvPrime;
-        h1 = (h1 ^ instr.imm) * kFnvPrime;
-      }
-    }
-  }
-  uint64_t h = h0;
-  Mix(&h, h1);
-  module.StoreDigest(h);
-  return h;
-}
 
 uint64_t CostModelDigest(const machine::CostModel& cost) {
   // Digest the same byte image DecodedModule::CostMatches memcmps, so two
@@ -114,7 +67,7 @@ std::shared_ptr<const DecodedModule> DecodeCache::Get(const ir::Module& module,
     // Built outside the lock: a slow decode must not serialize unrelated
     // keys. Racing callers for this key block on the shared_future.
     try {
-      promise.set_value(DecodedModule::Build(module, process));
+      promise.set_value(DecodedModule::Build(module, process, key.content));
     } catch (...) {
       promise.set_exception(std::current_exception());  // unblock waiters
       throw;

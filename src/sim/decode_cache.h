@@ -1,18 +1,20 @@
 // A shared, reference-counted cache of DecodedModules, keyed by module
-// *content* (an FNV-1a digest over every instruction field plus the entry
-// index) × cost-model digest × ymm reservation. Experiment cells and
-// server-workload tenants lower the same handful of ir::Modules thousands
-// of times; the cache makes each unique (content, cost model) pair decode
-// exactly once, even when ParallelMap workers race to populate it — the
-// first caller builds, everyone else blocks on a shared_future for that
-// key. Entries are shared_ptrs: eviction (LRU past `capacity`) only drops
-// the cache's reference, so executors holding a decode keep it alive.
+// *content* (ModuleContentDigest) × cost-model digest × ymm reservation.
+// The first caller for a key builds, everyone else blocks on a
+// shared_future for that key. Entries are shared_ptrs: eviction (LRU past
+// `capacity`) only drops the cache's reference, so executors holding a
+// decode keep it alive. Each decode records its content digest, so an
+// Executor handed one accepts it for any content-identical module instance.
+//
+// The simulator no longer consults this cache: every Executor and server
+// engine owns its decode (DESIGN.md §9 has the measurements). It remains
+// for perfbench's traced rebuild (perfbench/msbench.cc), which reports
+// decode hits and misses through it; it goes once that harness reads the
+// engine's own spans.
 //
 // Content keying (not pointer + version keying) is deliberate: a global
 // cache outlives the modules it decodes, and the heap reuses addresses —
-// `DecodedModule::Matches`-style identity checks would alias. The digest
-// also makes content-identical module instances (every cell of a figure
-// sweep builds its own baseline module) share one decode.
+// pointer identity checks would alias.
 #ifndef MEMSENTRY_SRC_SIM_DECODE_CACHE_H_
 #define MEMSENTRY_SRC_SIM_DECODE_CACHE_H_
 
@@ -41,11 +43,6 @@ struct DecodeCacheStats {
   }
 };
 
-// FNV-1a digest of a module's executable content: entry index, function and
-// block structure, and every instruction field the interpreter reads.
-// Function names are excluded (they never execute).
-uint64_t ModuleContentDigest(const ir::Module& module);
-
 // FNV-1a digest of the cost model's byte image (the same bytes
 // DecodedModule::CostMatches memcmps).
 uint64_t CostModelDigest(const machine::CostModel& cost);
@@ -56,7 +53,7 @@ class DecodeCache {
 
   explicit DecodeCache(size_t capacity = kDefaultCapacity) : capacity_(capacity) {}
 
-  // The process-wide cache every Executor consults.
+  // The process-wide instance (perfbench's traced rebuild).
   static DecodeCache& Global();
 
   // Returns the decoded form of (module, process's cost model), building it

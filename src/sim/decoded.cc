@@ -9,6 +9,18 @@
 namespace memsentry::sim {
 namespace {
 
+inline constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+inline constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+
+inline void Mix(uint64_t* h, uint64_t v) {
+  // FNV-1a over the value's 8 bytes, avoiding per-byte loop overhead where
+  // a whole word is available.
+  for (int i = 0; i < 8; ++i) {
+    *h = (*h ^ (v & 0xff)) * kFnvPrime;
+    v >>= 8;
+  }
+}
+
 // Instructions with statically known cycle contributions whose execution
 // never redirects control flow on success; a maximal run of these becomes
 // one fused µop (a superblock). kLoad/kStore joined the set in PR 7: their
@@ -191,14 +203,52 @@ void CountUops(const ir::Function& function, size_t* uops, size_t* regops) {
 
 }  // namespace
 
+uint64_t ModuleContentDigest(const ir::Module& module) {
+  // The digest is O(instructions); the memo keeps repeated checks of an
+  // unmodified module at O(1). Touch() invalidates by bumping `version`.
+  uint64_t memo = 0;
+  if (module.CachedDigest(&memo) == module.version) {
+    return memo;
+  }
+  // Two independent FNV lanes — every fixed-width field packed into one
+  // word on lane 0, the immediate on lane 1 — so the xor-multiply chains
+  // run in parallel instead of serializing three multiplies per
+  // instruction.
+  uint64_t h0 = kFnvOffset;
+  uint64_t h1 = kFnvOffset ^ 0x9e3779b97f4a7c15ull;
+  Mix(&h0, static_cast<uint64_t>(module.entry));
+  Mix(&h0, module.functions.size());
+  for (const ir::Function& f : module.functions) {
+    Mix(&h0, f.blocks.size());
+    for (const ir::BasicBlock& b : f.blocks) {
+      Mix(&h1, b.instrs.size());
+      for (const ir::Instr& instr : b.instrs) {
+        h0 = (h0 ^ ((static_cast<uint64_t>(instr.op) << 56) |
+                    (static_cast<uint64_t>(static_cast<uint8_t>(instr.dst)) << 48) |
+                    (static_cast<uint64_t>(static_cast<uint8_t>(instr.src)) << 40) |
+                    (static_cast<uint64_t>(instr.flags) << 32) |
+                    static_cast<uint64_t>(static_cast<uint32_t>(instr.target)))) *
+             kFnvPrime;
+        h1 = (h1 ^ instr.imm) * kFnvPrime;
+      }
+    }
+  }
+  uint64_t h = h0;
+  Mix(&h, h1);
+  module.StoreDigest(h);
+  return h;
+}
+
 std::shared_ptr<const DecodedModule> DecodedModule::Build(const ir::Module& module,
-                                                          const Process& process) {
+                                                          const Process& process,
+                                                          uint64_t content_digest) {
   auto dec = std::make_shared<DecodedModule>();
   dec->source = &module;
   dec->module_version = module.version;
   dec->instr_count = module.InstrCount();
   dec->cost = process.machine().cost;
   dec->ymm_reserved = process.ymm_reserved();
+  dec->content_digest = content_digest;
   const machine::CostModel& cost = dec->cost;
 
   dec->functions.reserve(module.functions.size());
@@ -313,8 +363,12 @@ std::shared_ptr<const DecodedModule> DecodedModule::Build(const ir::Module& modu
 }
 
 bool DecodedModule::Matches(const ir::Module& module, const Process& process) const {
-  return source == &module && module_version == module.version &&
-         instr_count == module.InstrCount() && CostMatches(process);
+  // A recorded digest outlives `source`, whose address the heap may reuse,
+  // so it is the stronger check whenever it exists.
+  const bool same_content = content_digest != 0
+                                ? content_digest == ModuleContentDigest(module)
+                                : source == &module && module_version == module.version;
+  return same_content && instr_count == module.InstrCount() && CostMatches(process);
 }
 
 bool DecodedModule::CostMatches(const Process& process) const {

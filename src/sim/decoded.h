@@ -140,10 +140,16 @@ struct DecodedFunction {
   }
 };
 
+// FNV-1a digest of a module's executable content: entry index, function and
+// block structure, and every instruction field the interpreter reads.
+// Function names are excluded (they never execute). Memoized on the module
+// until its next Touch().
+uint64_t ModuleContentDigest(const ir::Module& module);
+
 // The decoded form of a whole module, tied to the (module version, cost
-// model, ymm reservation) it was built against. Shareable across executors:
-// bench harnesses that construct a fresh Executor per run can build one
-// DecodedModule up front and hand it to each.
+// model, ymm reservation) it was built against. Each Executor builds and
+// owns the decode of its module; a harness that constructs a fresh Executor
+// per run can build one DecodedModule up front and hand it to each.
 struct DecodedModule {
   std::vector<DecodedFunction> functions;
   const ir::Module* source = nullptr;
@@ -151,19 +157,23 @@ struct DecodedModule {
   uint64_t instr_count = 0;          // belt-and-suspenders vs missed Touch()
   machine::CostModel cost;           // snapshot; memcmp-validated
   bool ymm_reserved = false;
+  // ModuleContentDigest(*source) when the builder recorded it, else 0. A
+  // decode that carries it also serves content-identical module instances.
+  uint64_t content_digest = 0;
 
   static std::shared_ptr<const DecodedModule> Build(const ir::Module& module,
-                                                    const Process& process);
+                                                    const Process& process,
+                                                    uint64_t content_digest = 0);
 
-  // True when this decode is still valid for (module, process): same module
-  // identity and version, same instruction count, identical cost model and
-  // ymm reservation.
+  // True when this decode is still valid for (module, process): the module's
+  // content digest equals the recorded one (any content-identical instance;
+  // memoized, so O(1) per unmodified module), or, with no digest recorded,
+  // built from this module instance at its current version; same
+  // instruction count, identical cost model and ymm reservation.
   bool Matches(const ir::Module& module, const Process& process) const;
 
   // The cost-model half of Matches: identical cost snapshot and ymm
-  // reservation. Used by Executor for decodes obtained from the shared
-  // DecodeCache, whose `source` points at whichever module instance first
-  // populated the entry (content-identical, not pointer-identical).
+  // reservation.
   bool CostMatches(const Process& process) const;
 };
 

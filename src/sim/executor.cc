@@ -8,7 +8,6 @@
 #include "src/base/fastpath.h"
 #include "src/mpk/mpk.h"
 #include "src/mpx/mpx.h"
-#include "src/sim/decode_cache.h"
 
 // Computed-goto threaded dispatch (the "label as value" extension) is the
 // default on GCC/Clang; -DMEMSENTRY_THREADED_DISPATCH=0 (or a compiler
@@ -91,22 +90,9 @@ RunResult Executor::Run(const RunConfig& config) {
 }
 
 void Executor::EnsureDecoded() {
-  if (decoded_ != nullptr) {
-    if (decoded_for_ == module_ && decoded_for_version_ == module_->version &&
-        decoded_->instr_count == module_->InstrCount() && decoded_->CostMatches(*process_)) {
-      return;  // revalidated without re-digesting the module
-    }
-    if (decoded_->Matches(*module_, *process_)) {
-      // A decode handed in via SetDecoded whose `source` is this very
-      // module instance; pin the cheap revalidation to it.
-      decoded_for_ = module_;
-      decoded_for_version_ = module_->version;
-      return;
-    }
+  if (decoded_ == nullptr || !decoded_->Matches(*module_, *process_)) {
+    decoded_ = DecodedModule::Build(*module_, *process_);
   }
-  decoded_ = DecodeCache::Global().Get(*module_, *process_);
-  decoded_for_ = module_;
-  decoded_for_version_ = module_->version;
 }
 
 RunResult Executor::Resume(const RunConfig& config, const RunResult& partial) {

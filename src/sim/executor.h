@@ -114,8 +114,7 @@ class Executor {
 
   // Hands this executor a pre-built decoded form, so harnesses constructing
   // a fresh Executor per run don't re-decode each time. Validated against
-  // the live (module, cost model, ymm) state before use; refetched from the
-  // shared DecodeCache if stale.
+  // the live (module, cost model, ymm) state before use; rebuilt if stale.
   void SetDecoded(std::shared_ptr<const DecodedModule> decoded) { decoded_ = std::move(decoded); }
   const std::shared_ptr<const DecodedModule>& decoded() const { return decoded_; }
 
@@ -124,20 +123,14 @@ class Executor {
   RunResult RunDecoded(const RunConfig& config, bool check, const RunResult* resume);
 
   // Makes decoded_ valid for the live (module, cost model, ymm) state,
-  // consulting the shared DecodeCache (content-keyed, so concurrent cells
-  // lowering the same module share one decode). Cache-fetched decodes are
-  // revalidated cheaply by (module pointer, version) without re-digesting.
+  // building this executor's own decode when it holds none or a stale one.
+  // The decode lives as long as the executor (and whoever else holds it).
   void EnsureDecoded();
 
   Process* process_;
   const ir::Module* module_;
   const machine::CostModel* cost_;
   std::shared_ptr<const DecodedModule> decoded_;
-  // Which (module instance, version) decoded_ was last validated for; lets
-  // a cache-shared decode (whose `source` is some other content-identical
-  // module instance) skip the content digest on every Run.
-  const ir::Module* decoded_for_ = nullptr;
-  uint64_t decoded_for_version_ = 0;
   // Transient per-event scratch (AES crypt staging); bump-allocated so the
   // hot loop stops hitting the general heap once the first chunk warms up.
   base::Arena arena_;

@@ -17,7 +17,6 @@
 #include "src/core/safe_region.h"
 #include "src/defenses/mmap_policy.h"
 #include "src/eval/fault_campaign.h"
-#include "src/sim/decode_cache.h"
 #include "src/suite/suite_internal.h"
 #include "src/suite/workloads.h"
 #include "src/workloads/server.h"
@@ -553,7 +552,6 @@ int AssembleServer(const WorkloadOptions& options, const std::vector<json::Value
   const workloads::ServerConfig base;
   const std::vector<int> tenant_counts = ServerTenantCounts(options.quick);
   const auto techniques = workloads::AllServerTechniques();
-  const sim::DecodeCacheStats decode_stats = sim::DecodeCache::Global().stats();
   if (options.print) {
     PrintHeader("multi-tenant server workload (open-loop, per-technique scaling)");
     std::printf("%-10s %8s %14s %12s %12s %12s %8s %8s\n", "technique", "tenants", "req/s",
@@ -601,17 +599,6 @@ int AssembleServer(const WorkloadOptions& options, const std::vector<json::Value
     std::printf("(modeled cycles at the calibrated 4 GHz clock; open-loop load %.0f%%;\n"
                 " VMFUNC omitted: one EPT per tenant exceeds the 512-entry EPTP list)\n",
                 100.0 * base.offered_load);
-  }
-  // Shared decoded-module cache behavior across the whole sweep: tenants of
-  // one technique share a single lowering, so misses == #techniques (when
-  // this workload owns the cache; in-engine the cache is suite-wide and the
-  // values — info-kind, so never determinism-gated — cover more workloads).
-  report.AddInfo("microarch/decode_cache_hit_rate", decode_stats.HitRate());
-  report.AddInfo("microarch/decode_cache_lowerings",
-                 static_cast<double>(decode_stats.misses));
-  if (options.print) {
-    std::printf("decode cache: %.4f hit rate, %llu lowerings\n", decode_stats.HitRate(),
-                static_cast<unsigned long long>(decode_stats.misses));
   }
   return 0;
 }
@@ -673,11 +660,6 @@ void RegisterAdversaryWorkloads(eval::WorkloadRegistry& registry) {
     Workload w;
     w.name = "server_workload";
     w.cells = [](const WorkloadOptions& options) {
-      if (options.print) {
-        // Standalone scoping for the decode-cache metric below, matching the
-        // historical binary: one decode per technique across the sweep.
-        sim::DecodeCache::Global().ResetStats();
-      }
       std::vector<WorkloadCell> cells;
       for (int tenants : ServerTenantCounts(options.quick)) {
         for (workloads::ServerTechnique technique : workloads::AllServerTechniques()) {

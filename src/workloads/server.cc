@@ -11,7 +11,6 @@
 #include "src/base/thread_pool.h"
 #include "src/ir/builder.h"
 #include "src/mpk/mpk.h"
-#include "src/sim/decode_cache.h"
 #include "src/sim/executor.h"
 
 namespace memsentry::workloads {
@@ -223,8 +222,7 @@ namespace {
 // straight-line IR stream, with the technique's per-access story inlined:
 // SFI masks every pointer, MPK brackets the handshake in wrpkru, mprotect
 // opens and closes the safe regions, crypt pays AES vector rounds. Content
-// depends only on the technique, so every engine of one technique keys the
-// same DecodeCache entry no matter its tenant count.
+// depends only on the technique, never on the tenant count.
 ir::Module BuildRequestModule(ServerTechnique technique) {
   using machine::Gpr;
   ir::Module m;
@@ -298,9 +296,9 @@ ir::Module BuildRequestModule(ServerTechnique technique) {
 
 Status ServerEngine::BuildSharedRequestStream() {
   request_module_ = BuildRequestModule(config_.technique);
-  // One draw per engine serves every tenant: the first draw anywhere in the
-  // suite lowers, every other engine of this technique hits.
-  decoded_request_ = sim::DecodeCache::Global().Get(request_module_, process_);
+  // One decode per engine serves every tenant (~40 instructions, so no
+  // cross-engine sharing is worth keeping resident).
+  decoded_request_ = sim::DecodedModule::Build(request_module_, process_);
   // One bounded run on a scratch machine proves the shared lowering
   // actually executes the request path; the engine's own machine state (and
   // therefore every modeled digest) is untouched.
@@ -311,10 +309,8 @@ Status ServerEngine::BuildSharedRequestStream() {
   scratch_kernel.Install();
   MEMSENTRY_RETURN_IF_ERROR(
       scratch.MapRange(sim::kWorkingSetBase, 1, machine::PageFlags::Data()));
-  // Deliberately no SetDecoded: the executor draws from the cache itself
-  // (one more deterministic hit), keeping the suite-wide hit count
-  // independent of cell scheduling.
   sim::Executor executor(&scratch, &request_module_);
+  executor.SetDecoded(decoded_request_);
   sim::RunConfig run_config;
   run_config.max_instructions = 4096;
   const sim::RunResult r = executor.Run(run_config);

@@ -115,9 +115,8 @@ class ServerEngine {
   // from `attacker`'s steady state (at-rest PKRU, attacker's ASID).
   machine::FaultOr<uint64_t> ProbeCrossTenantRead(int attacker, int victim);
 
-  // The technique's request-path µop stream, shared across every tenant
-  // (and across engines of the same technique) through the process-wide
-  // sim::DecodeCache. Built and validated during Setup().
+  // The technique's request-path µop stream, decoded once per engine and
+  // shared across every tenant. Built and validated during Setup().
   const ir::Module& request_module() const { return request_module_; }
   const std::shared_ptr<const sim::DecodedModule>& decoded_request() const {
     return decoded_request_;
@@ -132,10 +131,9 @@ class ServerEngine {
   // One priced MMU access; faults are counted, not fatal.
   Cycles TouchRead(VirtAddr va);
   Cycles TouchWrite(VirtAddr va, uint64_t value);
-  // Builds request_module_, draws its decoded stream from the shared cache
-  // once for all tenants (one lowering per technique suite-wide), and proves
-  // the lowering executes by running it on a scratch machine. Digest-
-  // neutral: the engine's own machine state is never touched.
+  // Builds request_module_, decodes it once for all tenants, and proves the
+  // decode executes by handing it to a validation run on a scratch machine.
+  // Digest-neutral: the engine's own machine state is never touched.
   Status BuildSharedRequestStream();
 
   ServerConfig config_;

@@ -1,6 +1,7 @@
-// The shared decoded-module cache: content-addressed keying, single-build
-// semantics under concurrent population, reference-counted survival across
-// eviction, and the Executor's cheap revalidation path. The concurrency
+// Decoded modules: the shared cache's content-addressed keying, single-build
+// semantics under concurrent population and reference-counted survival
+// across eviction; the Executor's own decode (cheap revalidation, lifetime,
+// acceptance of content-identical cache decodes). The concurrency
 // tests run the same population through ParallelMap at jobs in {1, 4,
 // hardware} and demand identical lowering counts and bit-identical
 // execution — scheduling must never change what got built.
@@ -185,27 +186,66 @@ TEST_F(DecodeCacheTest, SharedLoweringExecutesBitIdentically) {
   }
 }
 
-// Executor::EnsureDecoded revalidates by (instance, version) without
-// re-digesting; only a real content change forces a new cache entry.
+// Executor::EnsureDecoded revalidates its own decode by (instance,
+// version): repeated runs keep it, and only a real content change forces a
+// new lowering.
 TEST_F(DecodeCacheTest, ExecutorRevalidatesWithoutRelowering) {
-  DecodeCache::Global().ResetStats();
   Module m = SaltedModule(21);
   Executor executor(&process_, &m);
   (void)executor.Run({});
-  const auto after_first = DecodeCache::Global().stats();
-  (void)executor.Run({});  // same module instance + version: no new lookup
-  EXPECT_EQ(DecodeCache::Global().stats().misses, after_first.misses);
-  EXPECT_EQ(DecodeCache::Global().stats().hits, after_first.hits);
+  const std::shared_ptr<const DecodedModule> first = executor.decoded();
+  ASSERT_NE(first, nullptr);
+  (void)executor.Run({});  // same module instance + version: no new lowering
+  EXPECT_EQ(executor.decoded().get(), first.get());
 
   m.functions[0].blocks[0].instrs[1].imm ^= 2;
   m.Touch();
-  (void)executor.Run({});  // stale: must re-lower under the new content key
-  EXPECT_EQ(DecodeCache::Global().stats().misses, after_first.misses + 1);
+  (void)executor.Run({});  // stale: must re-lower
+  EXPECT_NE(executor.decoded().get(), first.get());
+  EXPECT_EQ(executor.decoded()->module_version, m.version);
 }
 
-// Decode allocates each µop array at its exact final size: cached decodes
-// stay resident, so reserved-but-unused capacity would be held for the
-// cache's lifetime.
+// An executor's decode is its own: nothing in the simulator keeps it
+// resident once the executor is gone.
+TEST_F(DecodeCacheTest, DecodeLivesNoLongerThanItsExecutor) {
+  const Module m = SaltedModule(22);
+  std::weak_ptr<const DecodedModule> decoded;
+  {
+    Executor executor(&process_, &m);
+    (void)executor.Run({});
+    decoded = executor.decoded();
+    EXPECT_FALSE(decoded.expired());
+  }
+  EXPECT_TRUE(decoded.expired());
+}
+
+// A cache decode handed in through SetDecoded whose `source` is another,
+// content-identical module instance runs as is: the executor checks the
+// recorded content digest instead of lowering again.
+TEST_F(DecodeCacheTest, ExecutorAcceptsContentIdenticalCacheDecode) {
+  DecodeCache cache;
+  const Module populating = SaltedModule(23);
+  const Module m = SaltedModule(23);
+  (void)cache.Get(populating, process_);
+  bool hit = false;
+  const auto shared = cache.Get(m, process_, &hit);
+  ASSERT_TRUE(hit);
+  ASSERT_NE(shared->source, &m);
+  Executor executor(&process_, &m);
+  executor.SetDecoded(shared);
+  (void)executor.Run({});
+  EXPECT_EQ(executor.decoded().get(), shared.get());
+
+  // A private decode of another instance records no digest: rebuilt.
+  Executor other(&process_, &m);
+  other.SetDecoded(DecodedModule::Build(populating, process_));
+  (void)other.Run({});
+  EXPECT_EQ(other.decoded()->source, &m);
+}
+
+// Decode allocates each µop array at its exact final size: a decode stays
+// resident for its whole run, so reserved-but-unused capacity would be held
+// that long.
 TEST_F(DecodeCacheTest, DecodedArraysCarryNoSlack) {
   workloads::SynthOptions synth;
   synth.target_instructions = 20'000;

@@ -569,6 +569,47 @@ TEST(ServeConcurrency, PendingWaitDoesNotDelayPing) {
   EXPECT_EQ(job->StringOr("state", ""), "done");
 }
 
+// The wait reply is a job's last answer: the daemon then drops the job, so
+// its table holds only jobs nobody has collected, and a second wait or a
+// status for the job gets the typed unknown_job.
+TEST(ServeConcurrency, SecondWaitForACollectedJobIsUnknown) {
+  ResetBlocking();
+  OpenGate();
+  LiveServe serve(BlockingServe(/*jobs=*/1));
+  ASSERT_TRUE(serve.Up());
+  json::Value submit = Command("submit");
+  submit.Set("workload", "gated");
+  auto submitted = eval::ServeRequest(serve.path(), submit);
+  ASSERT_TRUE(submitted.ok() && submitted->BoolOr("ok", false));
+  const double job = submitted->NumberOr("job", 0);
+  json::Value status = Command("status");
+  status.Set("job", job);
+  auto before = eval::ServeRequest(serve.path(), status);
+  ASSERT_TRUE(before.ok());
+  EXPECT_TRUE(before->BoolOr("ok", false)) << before->Dump();
+
+  json::Value wait = Command("wait");
+  wait.Set("job", job);
+  auto first = eval::ServeRequest(serve.path(), wait);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->BoolOr("ok", false)) << first->Dump();
+  const json::Value* report = first->Find("job");
+  ASSERT_NE(report, nullptr);
+  EXPECT_EQ(report->StringOr("state", ""), "done");
+
+  auto second = eval::ServeRequest(serve.path(), wait);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(second->StringOr("code", ""), "unknown_job") << second->Dump();
+  auto after = eval::ServeRequest(serve.path(), status);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->StringOr("code", ""), "unknown_job") << after->Dump();
+  auto all = eval::ServeRequest(serve.path(), Command("status"));
+  ASSERT_TRUE(all.ok());
+  const json::Value* jobs = all->Find("jobs");
+  ASSERT_NE(jobs, nullptr);
+  EXPECT_EQ(jobs->size(), 0u);
+}
+
 // Idle, slowloris and giant-line clients share the loop with a ping prober;
 // no ping may take longer than one cell of real work (with a floor for
 // scheduler noise on a loaded host). A loop that served connections one at

@@ -195,6 +195,20 @@ TEST(ServerWorkloadTest, AllTechniquesServeAllRequestsFaultFree) {
   }
 }
 
+// Each engine decodes its own request stream during Setup(): the decode is
+// built from this engine's module, not drawn from an earlier engine of the
+// same technique.
+TEST(ServerWorkloadTest, EngineOwnsItsRequestDecode) {
+  ServerEngine first(SmallConfig(ServerTechnique::kMpk));
+  ServerEngine second(SmallConfig(ServerTechnique::kMpk));
+  for (ServerEngine* engine : {&first, &second}) {
+    ASSERT_TRUE(engine->Setup().ok());
+    ASSERT_NE(engine->decoded_request(), nullptr);
+    EXPECT_EQ(engine->decoded_request()->source, &engine->request_module());
+    EXPECT_EQ(engine->decoded_request()->module_version, engine->request_module().version);
+  }
+}
+
 // The slow techniques must actually cost more: the whole point of the
 // workload is turning per-transition costs into tail latency.
 TEST(ServerWorkloadTest, TechniqueCostsOrderTailLatency) {

@@ -33,7 +33,7 @@
 // Engines. --engine=inproc (the default) runs every registered suite workload
 // (src/suite/workloads.h) inside this process through one warm
 // eval::CampaignEngine of --jobs=N workers (default hardware_concurrency):
-// cells on a work-stealing pool sharing one decode cache and run memo.
+// cells on a work-stealing pool sharing one run memo.
 // --engine=shard hands the same cells to an eval::ShardCoordinator driving
 // --workers=N `memsentry_cli serve` subprocesses under --lease=SECONDS
 // leases, re-dispatching on worker death/hang/garbage, quarantining repeat
@@ -75,7 +75,6 @@
 #include "src/eval/regression_gate.h"
 #include "src/eval/report_builder.h"
 #include "src/eval/run_memo.h"
-#include "src/sim/decode_cache.h"
 #include "src/suite/workloads.h"
 
 #ifndef MEMSENTRY_SOURCE_DIR
@@ -952,9 +951,6 @@ int Run(int argc, char** argv) {
       engine_options.jobs = total_jobs;
       engine_options.restore = restore;
       engine_options.on_cell_done = on_cell_done;
-      // Engine-wide decode statistics start from zero so the merged report's
-      // engine/decode_cache_* metrics describe exactly this suite run.
-      sim::DecodeCache::Global().ResetStats();
       engine = std::make_unique<eval::CampaignEngine>(&suite::SuiteRegistry(), engine_options);
     }
 
@@ -1025,7 +1021,7 @@ int Run(int argc, char** argv) {
 
     // Which engine produced the document, plus its aggregates: the
     // coordinator's failure traffic, or the inproc engine's work-stealing
-    // traffic and shared decode cache efficacy across every workload. All
+    // traffic and run-memo efficacy across every workload. All
     // info-kind: the counters are host-timing-dependent (a loaded machine
     // expires leases chaos never touched), so none participate in gating or
     // the determinism check.
@@ -1068,28 +1064,22 @@ int Run(int argc, char** argv) {
           static_cast<unsigned long long>(stats.workers_quarantined), stats.degraded ? 1 : 0);
     } else {
       const eval::EngineStats stats = engine->stats();
-      const sim::DecodeCacheStats decode = sim::DecodeCache::Global().stats();
       const eval::RunMemo::Stats memo = eval::RunMemo::Global().stats();
       metrics.Set("engine/cells_run", InfoMetric(static_cast<double>(stats.cells_run)));
       metrics.Set("engine/cells_restored", InfoMetric(static_cast<double>(stats.cells_restored)));
       metrics.Set("engine/steals", InfoMetric(static_cast<double>(stats.steals)));
-      metrics.Set("engine/decode_cache_hit_rate", InfoMetric(decode.HitRate()));
-      metrics.Set("engine/decode_cache_lowerings",
-                  InfoMetric(static_cast<double>(decode.misses)));
       metrics.Set("engine/run_memo_hit_rate", InfoMetric(memo.HitRate()));
       metrics.Set("engine/run_memo_hits", InfoMetric(static_cast<double>(memo.hits)));
       engine_header.Set("jobs", engine->jobs());
       engine_header.Set("cells_run", stats.cells_run);
       engine_header.Set("cells_restored", stats.cells_restored);
       engine_header.Set("steals", stats.steals);
-      engine_header.Set("decode_cache_hit_rate", decode.HitRate());
-      engine_header.Set("decode_cache_lowerings", decode.misses);
       std::printf(
           "[bench_runner] suite wall-clock %.2fs (engine=inproc, workers=%d, cells=%llu "
-          "run + %llu restored, steals=%llu, decode-cache hit rate %.3f)\n",
+          "run + %llu restored, steals=%llu)\n",
           suite_seconds, engine->jobs(), static_cast<unsigned long long>(stats.cells_run),
           static_cast<unsigned long long>(stats.cells_restored),
-          static_cast<unsigned long long>(stats.steals), decode.HitRate());
+          static_cast<unsigned long long>(stats.steals));
     }
     // The wall-clock trajectory of the suite itself: info metrics, recorded
     // in every snapshot but never gated (they are host-dependent).

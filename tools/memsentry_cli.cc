@@ -266,7 +266,7 @@ int ReplayCampaignSpec(const json::Value& replay) {
 
 // `serve` — bind the suite registry's workloads behind a local UNIX socket.
 // The engine outlives every request, so repeated submissions share one warm
-// decode cache and run memo; src/eval/serve.h documents the wire protocol.
+// run memo; src/eval/serve.h documents the wire protocol.
 int RunServe(int argc, char** argv) {
   eval::ServeOptions options;
   options.socket_path = Arg(argc, argv, "--socket", "");
