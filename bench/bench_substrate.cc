@@ -1,10 +1,13 @@
 // google-benchmark microbenchmarks of the substrates themselves (host-side
 // performance of the simulator, not simulated cycles): page walks, TLB,
-// cache tags, AES, physical-memory lookups, EPT translation, executor
-// throughput.
+// AES, physical-memory lookups, EPT translation, executor throughput. A
+// plain google-benchmark binary, outside the suite and its gate:
+//
+//   build/bench/bench_substrate --benchmark_min_time=0.01
 #include <benchmark/benchmark.h>
 
-#include "bench/bench_util.h"
+#include <memory>
+
 #include "src/aes/aes128.h"
 #include "src/ir/builder.h"
 #include "src/machine/mmu.h"
@@ -120,49 +123,7 @@ void BM_ExecutorThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecutorThroughput)->Unit(benchmark::kMillisecond);
 
-// Forwards console output unchanged while mirroring each run's host-side
-// real time into the machine-readable report. Host wall clock is
-// environment-dependent, so these land as info metrics: recorded for the
-// perf trajectory, never gated.
-class CapturingReporter : public benchmark::ConsoleReporter {
- public:
-  explicit CapturingReporter(bench::Reporter* out) : out_(out) {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    benchmark::ConsoleReporter::ReportRuns(runs);
-    for (const Run& run : runs) {
-      if (run.error_occurred) {
-        continue;
-      }
-      out_->AddInfo("substrate/" + run.benchmark_name() + "/real_ns",
-                    run.GetAdjustedRealTime());
-    }
-  }
-
- private:
-  bench::Reporter* out_;
-};
-
 }  // namespace
 }  // namespace memsentry
 
-int main(int argc, char** argv) {
-  memsentry::bench::Reporter reporter("bench_substrate", argc, argv);
-  // Strip the suite-wide flags google-benchmark would reject before handing
-  // the rest (e.g. --benchmark_min_time) to benchmark::Initialize.
-  std::vector<char*> filtered;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0 ||
-        std::strncmp(argv[i], "--instructions=", 15) == 0 ||
-        std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      continue;
-    }
-    filtered.push_back(argv[i]);
-  }
-  int filtered_argc = static_cast<int>(filtered.size());
-  benchmark::Initialize(&filtered_argc, filtered.data());
-  memsentry::CapturingReporter console(&reporter);
-  benchmark::RunSpecifiedBenchmarks(&console);
-  benchmark::Shutdown();
-  return reporter.Finish();
-}
+BENCHMARK_MAIN();

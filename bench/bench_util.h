@@ -1,9 +1,8 @@
-// bench::Reporter, shared by the standalone benchmark entry points
-// (`memsentry_cli run <workload>` and bench_substrate): it parses the common
-// flags, stages crash bundles, and writes the run's metric stream as a
-// machine-readable JSON report (`--json=<path>`), the format
-// tools/bench_runner merges into BENCH_RESULTS.json and gates against
-// bench/baselines/.
+// bench::Reporter, behind `memsentry_cli run <workload>`: it parses the
+// common flags, stages crash bundles, and writes the run's metric stream as
+// a machine-readable JSON report (`--json=<path>`) in the shape of one
+// workload's slice of tools/bench_runner's merged BENCH_RESULTS.json, which
+// is gated against bench/baselines/.
 #ifndef MEMSENTRY_BENCH_BENCH_UTIL_H_
 #define MEMSENTRY_BENCH_BENCH_UTIL_H_
 
@@ -119,18 +118,13 @@ class Reporter {
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
     AddInfo(binary_ + "/wall_seconds", wall);
-    if (builder_.sim_instructions() > 0 && wall > 0) {
-      builder_.AddHostPerf(binary_ + "/sim_instr_per_second",
-                           builder_.sim_instructions() / wall, eval::kHostThroughputTol);
-    }
     json::Value doc = json::Value::Object();
     doc.Set("schema", 1);
     doc.Set("binary", binary_);
     doc.Set("instructions", TargetInstructions());
     doc.Set("wall_seconds", wall);
     doc.Set("metrics", builder_.TakeMetrics());
-    // Atomic write: a crash mid-report leaves no torn JSON for the runner's
-    // salvage pass to misread.
+    // Atomic write: a crash mid-report leaves no torn JSON behind.
     if (Status s = json::WriteFileAtomic(json_path_, doc); !s.ok()) {
       std::fprintf(stderr, "%s: %s\n", binary_.c_str(), s.ToString().c_str());
       return 1;

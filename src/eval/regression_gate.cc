@@ -106,14 +106,9 @@ GateReport CompareAgainstBaseline(const json::Value& results, const json::Value&
     if (RelativeDelta(measured, reference) <= tol + 1e-9) {
       continue;
     }
-    // Host-flagged metrics (wall-clock throughput) compare against the
-    // baseline but never hard-fail: their values track the machine the
-    // suite ran on, not the simulation.
-    const bool host = base_entry.BoolOr("host", false);
-    const bool gated = !host && (kind == MetricKind::kFidelity || options.gate_perf);
+    const bool gated = kind == MetricKind::kFidelity || options.gate_perf;
     report.issues.push_back({gated ? Severity::kFailure : Severity::kWarning, name,
-                             FormatDelta(measured, reference, tol) +
-                                 (host ? " [host metric: warn-only]" : "")});
+                             FormatDelta(measured, reference, tol)});
     if (gated) {
       ++report.failures;
     } else {

@@ -1,7 +1,7 @@
 // Metric accumulation for benchmark reports, shared between standalone runs
 // (`memsentry_cli run`, through bench::Reporter) and the in-process campaign
 // engine (src/eval/campaign_engine.h). A ReportBuilder collects named scalar
-// metrics — fidelity, perf, info, host-perf — in insertion order; the order
+// metrics — fidelity, perf, info — in insertion order; the order
 // and the bit-exact values are what the suite's determinism gate compares,
 // so every path that emits a given workload's metrics must route through the
 // same builder calls in the same sequence.
@@ -27,10 +27,6 @@ inline constexpr double kGeomeanTol = 0.05;
 inline constexpr double kPerBenchmarkTol = 0.15;
 inline constexpr double kCyclesTol = 0.15;
 inline constexpr double kMicroLatencyTol = 0.10;
-// Host-side throughput (sim instr/s) swings with machine load and CPU
-// generation; the wide band still catches order-of-magnitude interpreter
-// regressions while staying quiet across healthy hosts.
-inline constexpr double kHostThroughputTol = 0.60;
 
 // Collects one binary's (or one engine job's) results as named metrics.
 // Metric names are slash-paths, unique across the whole suite because each
@@ -67,20 +63,6 @@ class ReportBuilder {
     Add(name, value, MetricKind::kInfo, 0.0);
   }
 
-  // Host-dependent perf metric: tolerance-checked against the committed
-  // baseline (so sustained throughput regressions surface in the gate) but
-  // never a hard failure, and exempt from --check-determinism — its value
-  // depends on host wall-clock speed, not on simulation state.
-  void AddHostPerf(const std::string& name, double value, double tol) {
-    Add(name, value, MetricKind::kPerf, tol);
-    metrics_[name].Set("host", true);
-  }
-
-  // Accumulates simulated (retired) instructions executed by this workload.
-  // The caller turns the total into a `<binary>/sim_instr_per_second`
-  // host-perf metric — the suite's wall-clock throughput gauge.
-  void AddSimulatedInstructions(double instructions) { sim_instructions_ += instructions; }
-
   // A whole figure: per-config geomeans (fidelity, with the paper's
   // reference), per-benchmark normalized runtimes (fidelity, looser), and
   // suite-total protected cycles (perf).
@@ -96,16 +78,13 @@ class ReportBuilder {
                     kPerBenchmarkTol);
       }
       AddPerf(prefix + "/cycles/" + s.config, s.total_prot_cycles);
-      AddSimulatedInstructions(s.total_instructions);
     }
   }
 
-  double sim_instructions() const { return sim_instructions_; }
   const json::Value& metrics() const { return metrics_; }
   json::Value TakeMetrics() { return std::move(metrics_); }
 
  private:
-  double sim_instructions_ = 0;
   json::Value metrics_ = json::Value::Object();
 };
 

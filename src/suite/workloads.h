@@ -22,8 +22,7 @@ void RegisterAdversaryWorkloads(eval::WorkloadRegistry& registry);
 // The process-wide registry with every suite workload registered once.
 const eval::WorkloadRegistry& SuiteRegistry();
 
-// nullptr when `name` is not a registered suite workload (bench_substrate
-// is a binary of its own: it measures host time through google-benchmark).
+// nullptr when `name` is not a registered suite workload.
 const eval::Workload* FindSuiteWorkload(std::string_view name);
 
 }  // namespace memsentry::suite

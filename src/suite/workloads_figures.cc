@@ -220,7 +220,6 @@ Workload MakeCryptSizeSweep() {
       const std::string bytes = std::to_string(region_bytes);
       report.AddFidelity("crypt_sweep/norm/" + bytes, normalized, eval::kPerBenchmarkTol);
       report.AddPerf("crypt_sweep/cycles/" + bytes, payload.NumberOr("prot_cycles", 0));
-      report.AddSimulatedInstructions(payload.NumberOr("instructions", 0));
       if (region_bytes == 1024) {
         report.AddFidelity("crypt_sweep/relative_overhead_1024", relative,
                            eval::kPerBenchmarkTol, NAN,

@@ -542,7 +542,6 @@ int AssembleMicroarch(const WorkloadOptions& options, const std::vector<json::Va
     report.AddFidelity("microarch/instr_share/" + profile.name, instr_share,
                        eval::kPerBenchmarkTol);
     report.AddPerf("microarch/cycles/" + profile.name, cell.NumberOr("cycles", 0));
-    report.AddSimulatedInstructions(cell.NumberOr("instructions", 0));
     if (options.print) {
       std::printf("%-16s %6.2f %7.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% %8.1f%%\n",
                   profile.name.c_str(), cpi, 100.0 * cell.NumberOr("tlb_hit_rate", 0),

@@ -1,8 +1,11 @@
 // Tests for the machine-readable benchmark pipeline: the JSON
 // writer/parser in src/base/json.h and the regression-gate comparator in
-// src/eval/regression_gate.h, including an end-to-end check that
+// src/eval/regression_gate.h, including end-to-end checks that
 // tools/bench_runner exits nonzero when a fidelity metric is perturbed
-// beyond tolerance against the committed seed baseline.
+// beyond tolerance against the committed seed baseline, and that its merged
+// report carries only engine-produced metrics.
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -315,6 +318,45 @@ TEST(BenchRunner, ExitsNonzeroOnPerturbedFidelityMetric) {
             0);
   EXPECT_NE(std::system(("\"" + runner + "\" --compare=\"" + perturbed + base_args).c_str()),
             0);
+}
+
+// The runner is engine-only: every metric comes from a workload's report or
+// the engine, so no metric is exempt from the gate as host-dependent, none
+// times a queue position, and the header has no fork-path fields. The
+// retired fork-path flags and entry are usage errors.
+TEST(BenchRunner, MergedReportHasNoHostMetrics) {
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::string dir = ::testing::TempDir() + std::string(info->name());
+  ASSERT_EQ(std::system(("mkdir -p \"" + dir + "\"").c_str()), 0);
+  const std::string runner = MEMSENTRY_BENCH_RUNNER;
+  const std::string out = dir + "/results.json";
+  const auto run = [&](const std::string& args) {
+    const int status = std::system(("\"" + runner + "\" " + args + " --out=\"" + out +
+                                    "\" > \"" + dir + "/runner.log\" 2>&1")
+                                       .c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  };
+
+  ASSERT_EQ(run("--quick --jobs=2 --only=table4_micro,fig3_address --no-gate"), 0);
+  auto merged = json::ParseFile(out);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  const json::Value* metrics = merged->Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  ASSERT_NE(metrics->Find("fig3/geomean/MPX-w"), nullptr);
+  for (const auto& [name, entry] : metrics->members()) {
+    EXPECT_EQ(entry.Find("host"), nullptr) << name;
+    EXPECT_EQ(name.find("sim_instr_per_second"), std::string::npos) << name;
+    EXPECT_EQ(name.find("runner/seconds/"), std::string::npos) << name;
+  }
+  const json::Value* binaries = merged->Find("binaries");
+  ASSERT_NE(binaries, nullptr);
+  const json::Value* fig3 = binaries->Find("fig3_address");
+  ASSERT_NE(fig3, nullptr);
+  EXPECT_EQ(fig3->Find("timed_out"), nullptr);
+
+  EXPECT_EQ(run("--quick --only=bench_substrate --no-gate"), 2);
+  EXPECT_EQ(run("--quick --timeout=5 --no-gate"), 2);
+  EXPECT_EQ(run("--quick --bench-dir=x --no-gate"), 2);
 }
 #endif  // MEMSENTRY_BENCH_RUNNER
 

@@ -387,9 +387,9 @@ RunnerRun RunSuite(const std::string& dir, const std::string& out_name,
   return run;
 }
 
-// Every fidelity/perf metric (info and host-side metrics legitimately vary
-// run to run), serialized in document order for exact comparison: the
-// metric order is part of what the determinism gate compares.
+// Every fidelity/perf metric (info metrics legitimately vary run to run),
+// serialized in document order for exact comparison: the metric order is
+// part of what the determinism gate compares.
 std::string GatedMetrics(const json::Value& merged) {
   std::string out;
   const json::Value* metrics = merged.Find("metrics");
@@ -398,7 +398,7 @@ std::string GatedMetrics(const json::Value& merged) {
   }
   for (const auto& [name, entry] : metrics->members()) {
     const std::string kind = entry.StringOr("kind", "info");
-    if (kind == "info" || entry.BoolOr("host", false)) {
+    if (kind == "info") {
       continue;
     }
     const json::Value* value = entry.Find("value");

@@ -5,9 +5,9 @@
 // consume it directly.
 //
 //   bench_runner                      full suite (400k-instruction workloads)
-//   bench_runner --quick              CI mode: 100k instructions, short substrate runs
+//   bench_runner --quick              CI mode: 100k instructions
 //   bench_runner --only=fig3_address,table4_micro
-//   bench_runner --skip=bench_substrate
+//   bench_runner --skip=attack_campaigns
 //   bench_runner --out=BENCH_RESULTS.json
 //   bench_runner --baseline=PATH      (default: bench/baselines/seed[-quick].json)
 //   bench_runner --compare=RESULTS    gate an existing merged report, run nothing
@@ -41,21 +41,10 @@
 // --chaos=kill,hang,garble:seed=S arms the workers' fault harness and
 // --worker-cli=PATH overrides the sibling memsentry_cli. Fidelity/perf
 // metrics are bit-identical across engines, worker counts and chaos
-// schedules.
-//
-// Only bench_substrate forks (it measures host time and wants an unshared
-// process), from --bench-dir (default build/bench). --timeout=SECONDS
-// (default 600; 0 disables) bounds it: over budget it gets SIGTERM, then
-// SIGKILL, and is classified "timed out" — distinct from a crash. A signal
-// death is retried once; a parseable report left behind by a dead attempt
-// is salvaged into the merged document.
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
+// schedules. Host speed is not a suite metric: bench/bench_substrate is a
+// plain google-benchmark binary, and perfbench/ measures simulation speed.
 #include <algorithm>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,7 +53,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/base/fastpath.h"
@@ -73,7 +61,6 @@
 #include "src/eval/campaign_engine.h"
 #include "src/eval/coordinator.h"
 #include "src/eval/regression_gate.h"
-#include "src/eval/report_builder.h"
 #include "src/eval/run_memo.h"
 #include "src/suite/workloads.h"
 
@@ -91,15 +78,13 @@ constexpr uint64_t kQuickInstructions = 100'000;
 
 struct SuiteEntry {
   const char* name;
-  // Extra argv appended only in --quick mode (e.g. shorter substrate runs).
+  // Workload flag applied only in --quick mode, as `memsentry_cli run`
+  // would receive it on its argv.
   const char* quick_extra = "";
 };
 
-// The suite, in merge order. Every entry but bench_substrate is a registered
-// workload (src/suite/workloads.h) run by the engine; bench_substrate
-// measures host time via google-benchmark in its own process, so quick mode
-// shrinks its minimum measuring time instead of its (unused) instruction
-// budget.
+// The suite, in merge order: every registered workload
+// (src/suite/workloads.h), each run by the engine.
 const SuiteEntry kSuite[] = {
     {"table1_defenses"},
     {"table2_applicability"},
@@ -118,20 +103,14 @@ const SuiteEntry kSuite[] = {
     {"ablations"},
     {"server_workload", "--quick"},
     {"microarch_stats"},
-    // No "s" suffix: google-benchmark releases before 1.7 reject the suffixed
-    // spelling and silently fall back to the 0.5s default per benchmark,
-    // which quietly cost the quick suite several seconds of wall-clock.
-    {"bench_substrate", "--benchmark_min_time=0.01"},
 };
 
 struct Options {
   bool quick = false;
   bool gate = true;
   bool resume = false;
-  uint64_t instructions = 0;     // 0 = mode default
-  double timeout_seconds = 600;  // forked-binary wall-clock budget; 0 = none
-  int jobs = 0;                  // 0 = hardware_concurrency; 1 = fully serial
-  std::string bench_dir;
+  uint64_t instructions = 0;  // 0 = mode default
+  int jobs = 0;               // 0 = hardware_concurrency; 1 = fully serial
   std::string out = "BENCH_RESULTS.json";
   std::string baseline;
   std::string baselines_dir;
@@ -148,109 +127,6 @@ struct Options {
   std::vector<std::string> only;
   std::vector<std::string> skip;
 };
-
-// Child-process outcome, decoded so logs and the merged report say exactly
-// which way a binary died: clean exit code, signal, wall-clock timeout (our
-// SIGTERM/SIGKILL — distinct from a crash), or spawn failure.
-struct CommandStatus {
-  bool spawn_failed = false;
-  bool signaled = false;
-  bool timed_out = false;
-  int exit_code = 0;  // valid when !spawn_failed && !signaled
-  int signal = 0;     // valid when signaled
-
-  bool ok() const { return !spawn_failed && !signaled && !timed_out && exit_code == 0; }
-
-  std::string Describe() const {
-    char buf[64];
-    if (spawn_failed) {
-      return "failed to spawn";
-    }
-    if (timed_out) {
-      return "timed out (killed)";
-    }
-    if (signaled) {
-      std::snprintf(buf, sizeof(buf), "killed by signal %d", signal);
-      return buf;
-    }
-    std::snprintf(buf, sizeof(buf), "exited with %d", exit_code);
-    return buf;
-  }
-};
-
-// fork/exec with stdout+stderr redirected to `log_path` and a wall-clock
-// budget: a child over budget gets SIGTERM, then SIGKILL once the grace
-// period lapses, so even a child that ignores SIGTERM cannot hang the suite.
-// `timeout_seconds` <= 0 disables the budget.
-CommandStatus RunProcess(const std::vector<std::string>& args, const std::string& log_path,
-                         double timeout_seconds) {
-  CommandStatus status;
-  const pid_t pid = fork();
-  if (pid < 0) {
-    status.spawn_failed = true;
-    return status;
-  }
-  if (pid == 0) {
-    const int fd = open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd >= 0) {
-      dup2(fd, STDOUT_FILENO);
-      dup2(fd, STDERR_FILENO);
-      close(fd);
-    }
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (const std::string& arg : args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(argv[0], argv.data());
-    _exit(127);
-  }
-
-  constexpr auto kPollInterval = std::chrono::milliseconds(20);
-  constexpr auto kKillGrace = std::chrono::seconds(5);
-  const auto start = std::chrono::steady_clock::now();
-  const bool bounded = timeout_seconds > 0;
-  const auto term_deadline =
-      start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(bounded ? timeout_seconds : 0));
-  bool sent_term = false;
-  bool sent_kill = false;
-  auto kill_deadline = term_deadline;
-
-  for (;;) {
-    int wstatus = 0;
-    const pid_t reaped = waitpid(pid, &wstatus, WNOHANG);
-    if (reaped == pid) {
-      if (WIFSIGNALED(wstatus)) {
-        status.signaled = true;
-        status.signal = WTERMSIG(wstatus);
-      } else if (WIFEXITED(wstatus)) {
-        status.exit_code = WEXITSTATUS(wstatus);
-      } else {
-        status.spawn_failed = true;
-      }
-      // Death caused by our own escalation reports as a timeout, not as an
-      // organic signal death (the two are gated and retried differently).
-      status.timed_out = sent_term;
-      return status;
-    }
-    if (reaped < 0) {
-      status.spawn_failed = true;
-      return status;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (bounded && !sent_term && now >= term_deadline) {
-      kill(pid, SIGTERM);
-      sent_term = true;
-      kill_deadline = now + kKillGrace;
-    } else if (sent_term && !sent_kill && now >= kill_deadline) {
-      kill(pid, SIGKILL);
-      sent_kill = true;
-    }
-    std::this_thread::sleep_for(kPollInterval);
-  }
-}
 
 std::vector<std::string> SplitCsv(const std::string& csv) {
   std::vector<std::string> out;
@@ -270,12 +146,7 @@ std::vector<std::string> SplitCsv(const std::string& csv) {
 }
 
 bool Contains(const std::vector<std::string>& list, const std::string& name) {
-  for (const auto& item : list) {
-    if (item == name) {
-      return true;
-    }
-  }
-  return false;
+  return std::find(list.begin(), list.end(), name) != list.end();
 }
 
 // Write-ahead suite journal: one JSON object per line — a header describing
@@ -408,63 +279,6 @@ json::Value InfoMetric(double value) {
   return entry;
 }
 
-// One forked binary's execution record.
-struct BinaryRun {
-  CommandStatus status;
-  int retries = 0;            // signal deaths retried (at most once)
-  double runner_seconds = 0;  // host wall-clock around the child process
-  // Every attempt's report path; retries get stamped paths
-  // (<name>.retry1.json) so no attempt ever overwrites another's output.
-  std::vector<std::string> report_paths;
-};
-
-// Forks one bench binary (bench_substrate — never a registered workload):
-// per-attempt report paths, one retry after an organic signal death.
-BinaryRun ExecuteForked(const SuiteEntry& entry, const Options& opts, uint64_t instructions,
-                        const fs::path& report_dir) {
-  const std::string name = entry.name;
-  const fs::path binary = fs::path(opts.bench_dir) / name;
-  const fs::path log_path = report_dir / (name + ".log");
-  std::printf("[bench_runner] %s ...\n", name.c_str());
-  std::fflush(stdout);
-
-  BinaryRun run;
-  const auto start = std::chrono::steady_clock::now();
-  for (;;) {
-    const fs::path report_path =
-        report_dir / (run.retries == 0
-                          ? name + ".json"
-                          : name + ".retry" + std::to_string(run.retries) + ".json");
-    run.report_paths.push_back(report_path.string());
-    std::vector<std::string> args = {binary.string(), "--json=" + report_path.string(),
-                                     "--instructions=" + std::to_string(instructions)};
-    if (opts.quick && entry.quick_extra[0] != '\0') {
-      args.push_back(entry.quick_extra);
-    }
-    // A stale report from a previous attempt (or run) must never be
-    // salvaged as this attempt's output.
-    std::error_code remove_ec;
-    fs::remove(report_path, remove_ec);
-    run.status = RunProcess(args, log_path.string(), opts.timeout_seconds);
-    // Signal deaths (SIGSEGV, OOM-kill, ...) get one retry after a
-    // short backoff: transient host pressure is common in CI, and a
-    // deterministic crash still fails identically on the retry.
-    // Timeouts are not retried — a second attempt would double the
-    // wall-clock damage of a hung binary.
-    if (!run.status.signaled || run.status.timed_out || run.retries >= 1) {
-      break;
-    }
-    ++run.retries;
-    std::printf("[bench_runner] %s %s; retrying once\n", name.c_str(),
-                run.status.Describe().c_str());
-    std::fflush(stdout);
-    std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  }
-  run.runner_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return run;
-}
-
 // Adds `source`'s metrics to the merged stream, refusing duplicates.
 void MergeMetrics(const std::string& name, const json::Value& source, json::Value& metrics,
                   int& exit_code) {
@@ -479,64 +293,10 @@ void MergeMetrics(const std::string& name, const json::Value& source, json::Valu
   }
 }
 
-// Folds one forked binary's outcome into the merged document: the header
-// entry, runner/seconds, and the report's metrics — salvaging whatever a
-// dead binary managed to write before it died.
-void MergeForkedRun(const std::string& name, const BinaryRun& run, const fs::path& report_dir,
-                    json::Value& binaries, json::Value& metrics, int& exit_code) {
-  const fs::path report_path = run.report_paths.back();
-  const fs::path log_path = report_dir / (name + ".log");
-  json::Value info = json::Value::Object();
-  info.Set("exit", run.status.spawn_failed ? -1 : run.status.exit_code);
-  if (run.status.signaled) {
-    info.Set("signal", run.status.signal);
-  }
-  info.Set("timed_out", run.status.timed_out);
-  info.Set("retries", run.retries);
-  info.Set("runner_seconds", run.runner_seconds);
-  // Every attempt's report path (retries write to stamped paths), so the
-  // merged header records exactly which file each metric came from.
-  json::Value report_list = json::Value::Array();
-  for (const std::string& p : run.report_paths) {
-    report_list.Append(p);
-  }
-  info.Set("reports", std::move(report_list));
-  auto report = json::ParseFile(report_path.string());
-  if (!run.status.ok()) {
-    std::fprintf(stderr, "bench_runner: %s %s (log: %s)\n", name.c_str(),
-                 run.status.Describe().c_str(), log_path.c_str());
-    exit_code = 1;
-    // Salvage: a binary that died after writing its report (a crash in
-    // teardown, a timeout during a later phase) still contributes every
-    // metric it produced — the gate then reports precisely what is
-    // missing instead of failing the whole binary's coverage blind.
-    if (!report.ok()) {
-      info.Set("salvaged", false);
-      binaries.Set(name, std::move(info));
-      return;
-    }
-    std::fprintf(stderr, "bench_runner: %s left a parseable report; salvaging %zu metrics\n",
-                 name.c_str(),
-                 report->Find("metrics") != nullptr ? report->Find("metrics")->size() : 0);
-    info.Set("salvaged", true);
-  } else if (!report.ok()) {
-    std::fprintf(stderr, "bench_runner: %s\n", report.status().ToString().c_str());
-    exit_code = 1;
-    binaries.Set(name, std::move(info));
-    return;
-  }
-  info.Set("wall_seconds", report->NumberOr("wall_seconds", 0.0));
-  binaries.Set(name, std::move(info));
-  metrics.Set("runner/seconds/" + name, InfoMetric(run.runner_seconds));
-  if (const json::Value* m = report->Find("metrics"); m != nullptr && m->is_object()) {
-    MergeMetrics(name, *m, metrics, exit_code);
-  }
-}
-
 // Folds one engine job into the merged document, in the shape a standalone
 // `memsentry_cli run` report has: the workload's metric stream followed by
-// the host wall-clock trailer bench::Reporter::Finish appends (info /
-// host-perf kinds — never part of the determinism contract).
+// the host wall-clock trailer bench::Reporter::Finish appends (info kind —
+// never part of the determinism contract).
 void MergeJob(const eval::JobReport& job, const char* engine_name, json::Value& binaries,
               json::Value& metrics, int& exit_code) {
   const std::string& name = job.workload;
@@ -544,16 +304,12 @@ void MergeJob(const eval::JobReport& job, const char* engine_name, json::Value& 
       static_cast<size_t>(std::count(job.cell_restored.begin(), job.cell_restored.end(), true));
   json::Value info = json::Value::Object();
   info.Set("exit", job.status);
-  info.Set("timed_out", false);
-  info.Set("retries", 0);
-  info.Set("runner_seconds", job.wall_seconds);
   info.Set("engine", engine_name);
   info.Set("cells", static_cast<uint64_t>(job.cell_names.size()));
   if (restored > 0) {
     info.Set("cells_restored", static_cast<uint64_t>(restored));
     info.Set("resumed", true);
   }
-  info.Set("reports", json::Value::Array());
   info.Set("wall_seconds", job.wall_seconds);
   if (job.state != eval::JobState::kDone || job.status != 0) {
     std::fprintf(stderr, "bench_runner: %s (%s) finished %s with status %d\n", name.c_str(),
@@ -561,17 +317,8 @@ void MergeJob(const eval::JobReport& job, const char* engine_name, json::Value& 
     exit_code = 1;
   }
   binaries.Set(name, std::move(info));
-  metrics.Set("runner/seconds/" + name, InfoMetric(job.wall_seconds));
   MergeMetrics(name, job.report.metrics(), metrics, exit_code);
   metrics.Set(name + "/wall_seconds", InfoMetric(job.wall_seconds));
-  if (job.report.sim_instructions() > 0 && job.wall_seconds > 0) {
-    json::Value throughput = json::Value::Object();
-    throughput.Set("value", job.report.sim_instructions() / job.wall_seconds);
-    throughput.Set("kind", "perf");
-    throughput.Set("tol", eval::kHostThroughputTol);
-    throughput.Set("host", true);
-    metrics.Set(name + "/sim_instr_per_second", std::move(throughput));
-  }
   // Where the wall-clock went, at the engine's scheduling granularity.
   // tools/ci/check_gate.sh wall-summary surfaces the slowest cells.
   for (size_t c = 0; c < job.cell_names.size(); ++c) {
@@ -583,9 +330,8 @@ void MergeJob(const eval::JobReport& job, const char* engine_name, json::Value& 
 int Usage() {
   std::fprintf(stderr,
                "usage: bench_runner [--quick] [--only=a,b] [--skip=a,b] [--out=PATH]\n"
-               "                    [--bench-dir=DIR] [--baseline=PATH] [--no-gate]\n"
-               "                    [--compare=RESULTS] [--write-baseline=PATH]\n"
-               "                    [--instructions=N] [--jobs=N] [--timeout=SECONDS]\n"
+               "                    [--baseline=PATH] [--no-gate] [--compare=RESULTS]\n"
+               "                    [--write-baseline=PATH] [--instructions=N] [--jobs=N]\n"
                "                    [--check-determinism=OTHER.json]\n"
                "                    [--fastpath=on|off|check] [--journal=PATH] [--resume]\n"
                "                    [--engine=inproc|shard] [--workers=N]\n"
@@ -617,8 +363,6 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
       opts.skip = SplitCsv(v);
     } else if (const char* v = value("--out")) {
       opts.out = v;
-    } else if (const char* v = value("--bench-dir")) {
-      opts.bench_dir = v;
     } else if (const char* v = value("--baseline")) {
       opts.baseline = v;
     } else if (const char* v = value("--baselines-dir")) {
@@ -631,8 +375,6 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
       opts.instructions = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("--jobs")) {
       opts.jobs = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (const char* v = value("--timeout")) {
-      opts.timeout_seconds = std::strtod(v, nullptr);
     } else if (const char* v = value("--check-determinism")) {
       opts.check_determinism = v;
     } else if (const char* v = value("--fastpath")) {
@@ -682,8 +424,7 @@ const char* CompilerString() {
 
 // Compares every fidelity/perf metric of `results` and `other` for exact
 // (bitwise double) equality in both directions. Info metrics — wall clocks,
-// host-side benchmark times, jobs — and host-flagged perf metrics
-// (sim_instr_per_second) legitimately differ between runs and are exempt.
+// jobs, engine counters — legitimately differ between runs and are exempt.
 // Returns the number of mismatches, printing each.
 int CountDeterminismMismatches(const json::Value& results, const json::Value& other) {
   const json::Value* a = results.Find("metrics");
@@ -694,8 +435,7 @@ int CountDeterminismMismatches(const json::Value& results, const json::Value& ot
   }
   int mismatches = 0;
   for (const auto& [name, entry] : a->members()) {
-    if (eval::ParseMetricKind(entry.StringOr("kind", "info")) == eval::MetricKind::kInfo ||
-        entry.BoolOr("host", false)) {
+    if (eval::ParseMetricKind(entry.StringOr("kind", "info")) == eval::MetricKind::kInfo) {
       continue;
     }
     const json::Value* peer = b->Find(name);
@@ -712,8 +452,7 @@ int CountDeterminismMismatches(const json::Value& results, const json::Value& ot
     }
   }
   for (const auto& [name, entry] : b->members()) {
-    if (eval::ParseMetricKind(entry.StringOr("kind", "info")) == eval::MetricKind::kInfo ||
-        entry.BoolOr("host", false)) {
+    if (eval::ParseMetricKind(entry.StringOr("kind", "info")) == eval::MetricKind::kInfo) {
       continue;
     }
     if (a->Find(name) == nullptr) {
@@ -759,19 +498,14 @@ int Run(int argc, char** argv) {
                    opts.fastpath.c_str());
       return 2;
     }
-    // Exported (not just set in-process): bench_substrate and the shard
-    // workers are child processes and pick the mode up from their own
-    // environment.
+    // Exported (not just set in-process): the shard workers are child
+    // processes and pick the mode up from their own environment.
     ::setenv("MEMSENTRY_FASTPATH", base::FastPathModeName(mode), /*overwrite=*/1);
     base::SetFastPathMode(mode);
   }
   const uint64_t instructions =
       opts.instructions != 0 ? opts.instructions
                              : (opts.quick ? kQuickInstructions : kFullInstructions);
-  if (opts.bench_dir.empty()) {
-    // bench_substrate lives next to this binary's parent: build/tools/../bench.
-    opts.bench_dir = (SelfDir(argv[0]).parent_path() / "bench").string();
-  }
   if (opts.baselines_dir.empty()) {
     opts.baselines_dir = std::string(MEMSENTRY_SOURCE_DIR) + "/bench/baselines";
   }
@@ -791,15 +525,6 @@ int Run(int argc, char** argv) {
     }
     merged = std::move(loaded).value();
   } else {
-    const fs::path report_dir = fs::path(opts.out).parent_path() / "bench_reports";
-    std::error_code ec;
-    fs::create_directories(report_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "bench_runner: cannot create %s: %s\n", report_dir.c_str(),
-                   ec.message().c_str());
-      return 1;
-    }
-
     // Reject --only/--skip names that match nothing: a typo would otherwise
     // run an empty suite and fail the gate with hundreds of "missing metric"
     // errors instead of naming the bad selector.
@@ -817,6 +542,16 @@ int Run(int argc, char** argv) {
       }
     }
 
+    // --out's directory holds the report, the journal and the shard sockets;
+    // make it before any work, so a bad path fails fast, not after the suite.
+    const fs::path out_dir = fs::path(opts.out).parent_path();
+    std::error_code ec;
+    if (!out_dir.empty() && !fs::create_directories(out_dir, ec) && ec) {
+      std::fprintf(stderr, "bench_runner: cannot create %s: %s\n", out_dir.c_str(),
+                   ec.message().c_str());
+      return 1;
+    }
+
     const bool shard = opts.engine == "shard";
     const char* engine_name = opts.engine.c_str();
     merged.Set("schema", 1);
@@ -832,8 +567,7 @@ int Run(int argc, char** argv) {
     // two differently-configured runs would silently gate garbage) and
     // collects every cell already journaled with its payload.
     const std::string journal_path =
-        opts.journal.empty() ? (fs::path(opts.out).parent_path() / "BENCH_JOURNAL.jsonl").string()
-                             : opts.journal;
+        opts.journal.empty() ? (out_dir / "BENCH_JOURNAL.jsonl").string() : opts.journal;
     Journal journal(journal_path);
     json::Value journal_header = json::Value::Object();
     journal_header.Set("journal", 1);
@@ -865,35 +599,6 @@ int Run(int argc, char** argv) {
     if (!resuming) {
       journal.Start(journal_header);
     }
-    // bench_substrate's crash handler snapshots the journal tail into its
-    // bundles.
-    std::error_code abs_ec;
-    const fs::path abs_journal = fs::absolute(journal_path, abs_ec);
-    ::setenv("MEMSENTRY_JOURNAL", (abs_ec ? fs::path(journal_path) : abs_journal).c_str(),
-             /*overwrite=*/1);
-
-    // Select the entries to run. Only forked entries need a binary on disk;
-    // a missing one is reported up front so a half-built tree fails fast
-    // instead of mid-suite.
-    std::vector<const SuiteEntry*> to_run;
-    for (const SuiteEntry& entry : kSuite) {
-      const std::string name = entry.name;
-      if (!opts.only.empty() && !Contains(opts.only, name)) {
-        continue;
-      }
-      if (Contains(opts.skip, name)) {
-        continue;
-      }
-      if (suite::FindSuiteWorkload(name) == nullptr &&
-          !fs::exists(fs::path(opts.bench_dir) / name)) {
-        std::fprintf(stderr, "bench_runner: missing binary %s (build the bench targets)\n",
-                     (fs::path(opts.bench_dir) / name).c_str());
-        exit_code = 1;
-        continue;
-      }
-      to_run.push_back(&entry);
-    }
-
     // Cell-granular durability, shared by both engines: journaled payloads
     // mark their cells done at submit time, and every finished cell's
     // payload is appended (Journal::Append serializes), so a kill -9
@@ -924,7 +629,7 @@ int Run(int argc, char** argv) {
       eval::CoordinatorOptions coptions;
       coptions.workers = opts.workers;
       coptions.lease_seconds = opts.lease_seconds;
-      coptions.socket_dir = (report_dir / "coordinator").string();
+      coptions.socket_dir = (out_dir / "bench_reports" / "coordinator").string();
       // Workers are the memsentry_cli sibling of this binary unless
       // overridden (tests point --worker-cli at the build tree).
       coptions.worker_cli = !opts.worker_cli.empty()
@@ -955,13 +660,13 @@ int Run(int argc, char** argv) {
     }
 
     const auto suite_start = std::chrono::steady_clock::now();
-    // Submit every registered workload up front: the engine interleaves all
+    // Submit every selected workload up front: the engine interleaves all
     // of their cells across its workers, so a straggler workload soaks up
-    // the whole pool. job_ids[i] == 0 marks a forked entry.
-    std::vector<uint64_t> job_ids(to_run.size(), 0);
-    for (size_t i = 0; i < to_run.size(); ++i) {
-      const SuiteEntry& entry = *to_run[i];
-      if (suite::FindSuiteWorkload(entry.name) == nullptr) {
+    // the whole pool.
+    std::vector<uint64_t> job_ids;
+    for (const SuiteEntry& entry : kSuite) {
+      if ((!opts.only.empty() && !Contains(opts.only, entry.name)) ||
+          Contains(opts.skip, entry.name)) {
         continue;
       }
       eval::WorkloadOptions woptions;
@@ -973,50 +678,33 @@ int Run(int argc, char** argv) {
       }
       std::printf("[bench_runner] %s (%s) ...\n", entry.name, engine_name);
       std::fflush(stdout);
-      job_ids[i] = shard ? coordinator->Submit(entry.name, woptions)
-                         : engine->Submit(entry.name, woptions);
+      job_ids.push_back(shard ? coordinator->Submit(entry.name, woptions)
+                              : engine->Submit(entry.name, woptions));
     }
 
-    // Forked entries run on this thread while the engine's workers (or the
-    // coordinator's fleet, driven from its own thread) chew through the
-    // cell queues.
-    std::thread drive;
+    // The coordinator drives its fleet from this thread until every cell is
+    // in; the inproc engine's workers are already chewing through the queues.
     if (shard) {
-      drive = std::thread([&coordinator] { (void)coordinator->Run(); });
+      (void)coordinator->Run();
     }
-    std::vector<BinaryRun> runs(to_run.size());
-    for (size_t i = 0; i < to_run.size(); ++i) {
-      if (job_ids[i] == 0) {
-        runs[i] = ExecuteForked(*to_run[i], opts, instructions, report_dir);
-      }
-    }
-    if (drive.joinable()) {
-      drive.join();
-    }
-    std::vector<const eval::JobReport*> jobs(to_run.size(), nullptr);
-    for (size_t i = 0; i < to_run.size(); ++i) {
-      if (job_ids[i] == 0) {
-        continue;
-      }
-      jobs[i] = shard ? coordinator->reports()[job_ids[i] - 1].get() : engine->Wait(job_ids[i]);
+    std::vector<const eval::JobReport*> jobs;
+    for (const uint64_t id : job_ids) {
+      const eval::JobReport* job = shard ? coordinator->reports()[id - 1].get() : engine->Wait(id);
       std::printf("[bench_runner] %s done: %zu cells (%zu restored) in %.2fs\n",
-                  jobs[i]->workload.c_str(), jobs[i]->cell_names.size(),
-                  static_cast<size_t>(std::count(jobs[i]->cell_restored.begin(),
-                                                 jobs[i]->cell_restored.end(), true)),
-                  jobs[i]->wall_seconds);
+                  job->workload.c_str(), job->cell_names.size(),
+                  static_cast<size_t>(
+                      std::count(job->cell_restored.begin(), job->cell_restored.end(), true)),
+                  job->wall_seconds);
       std::fflush(stdout);
+      jobs.push_back(job);
     }
     const double suite_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - suite_start).count();
 
     // Merge serially in suite order, so the merged document (and any error
     // output) is identical no matter how the parallel schedule interleaved.
-    for (size_t i = 0; i < to_run.size(); ++i) {
-      if (jobs[i] != nullptr) {
-        MergeJob(*jobs[i], engine_name, binaries, metrics, exit_code);
-      } else {
-        MergeForkedRun(to_run[i]->name, runs[i], report_dir, binaries, metrics, exit_code);
-      }
+    for (const eval::JobReport* job : jobs) {
+      MergeJob(*job, engine_name, binaries, metrics, exit_code);
     }
 
     // Which engine produced the document, plus its aggregates: the

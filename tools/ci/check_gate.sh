@@ -24,8 +24,9 @@
 #       MEMSENTRY_WALL_BUDGET_SCALE (default 1.0) scales the budget for
 #       slower hosts without editing the committed reference.
 #   fastpath-summary ON_FILE OFF_FILE
-#       Markdown table comparing runner/seconds/<binary> between a
-#       fastpath=on and a fastpath=off report.
+#       Markdown table comparing each workload's summed engine cell seconds
+#       (engine/seconds/<workload>/*) between a fastpath=on and a
+#       fastpath=off report.
 #   show FILE
 #       Pretty-print FILE, failing the step if it is not valid JSON.
 set -euo pipefail
@@ -142,16 +143,18 @@ case "$cmd" in
     [ $# -eq 2 ] || die_usage
     on_file=$1
     off_file=$2
-    echo "### fast-path on vs off — runner/seconds per binary"
+    echo "### fast-path on vs off — summed engine cell seconds per workload"
     echo ""
-    echo "| binary | fastpath=on (s) | fastpath=off (s) |"
+    echo "| workload | fastpath=on (s) | fastpath=off (s) |"
     echo "|---|---|---|"
-    jq -r '.metrics | keys[] | select(startswith("runner/seconds/"))' "$on_file" |
-      while read -r key; do
-        on=$(metric "$key" "$on_file")
-        off=$(metric "$key" "$off_file")
-        echo "| ${key#runner/seconds/} | $on | $off |"
-      done
+    jq -rn --slurpfile on "$on_file" --slurpfile off "$off_file" '
+      def cell_sums: reduce (.metrics | to_entries[]
+          | select(.key | startswith("engine/seconds/"))) as $e
+        ({}; .[$e.key | ltrimstr("engine/seconds/") | split("/")[0]] += $e.value.value);
+      def ms: . * 1e4 | round / 1e4;
+      ($off[0] | cell_sums) as $off_sums
+      | $on[0] | cell_sums | to_entries[]
+      | "| \(.key) | \(.value | ms) | \($off_sums[.key] | if . == null then "?" else ms end) |"'
     for f in "$on_file" "$off_file"; do
       wall=$(metric runner/wall_seconds "$f")
       echo "| total ($f) | $wall | |"
